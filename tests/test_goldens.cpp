@@ -10,13 +10,16 @@
 // (and say so loudly in the changelog — every cached placement invalidates).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "bench_circuits/registry.hpp"
 #include "cache/fingerprint.hpp"
 #include "circuit/interaction_graph.hpp"
 #include "circuit/transpile.hpp"
+#include "hardware/config.hpp"
 #include "placement/graphine.hpp"
+#include "technique/registry.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -121,4 +124,130 @@ TEST(Goldens, LegacyPlacementsAreByteStable) {
     EXPECT_EQ(parallax::cache::fingerprint(topology).hex(), golden.digest)
         << golden.acronym;
   }
+}
+
+namespace {
+
+/// Digest of everything a schedule charges: per layer the executed gates,
+/// both movement legs, the trap changes and the duration, then the total
+/// runtime. Any change to gate order, movement or timing moves it.
+std::string schedule_digest(const parallax::compiler::CompileResult& result) {
+  parallax::cache::Fingerprinter fp;
+  fp.u64(result.layers.size());
+  for (const auto& layer : result.layers) {
+    fp.u64(layer.gates.size());
+    for (const std::size_t gate : layer.gates) fp.u64(gate);
+    fp.f64(layer.move_distance_um);
+    fp.f64(layer.return_distance_um);
+    fp.i32(layer.trap_changes);
+    fp.f64(layer.duration_us);
+  }
+  fp.f64(result.runtime_us);
+  return fp.finish().hex();
+}
+
+// Schedule digests of every Table IV circuit on quera-256 under the default
+// compile options, recorded before the movement engine and the layer loop
+// were indexed. The indexed scheduler must reproduce them byte for byte.
+const std::map<std::string, std::pair<const char*, const char*>>
+    kScheduleGoldens = {
+        // acronym -> {parallax, parallax-fast}
+        {"ADD",
+         {"de2fcfca6e8ba0603ae4d29568468c01",
+          "629245fc1ff04c5cea73d1430d4ef349"}},
+        {"ADV",
+         {"53be49ec60e835661f42e8d8eb34d468",
+          "70cb4565d1180185c57a928de9013828"}},
+        {"GCM",
+         {"e0d7fa7713092824274b2a992e7839f7",
+          "963acbedacaa0328ab78a50527ee1987"}},
+        {"HSB",
+         {"0db86d22f84eb4d7fff54aea1bee7eec",
+          "9bd162d0c11241c679628a6bb6574d52"}},
+        {"HLF",
+         {"dea05adebf6ff8590685460adfe4617c",
+          "91db2356bc41f6be4d4825a00f09468e"}},
+        {"KNN",
+         {"711c5f66d57da0b68deb8ac8740b5b66",
+          "fd9a3bdcb6a55760e44b53ec38617d8e"}},
+        {"MLT",
+         {"5e0fd603a77bb77933043eb81872efce",
+          "1e24800a8d31847fc860468ada107e5f"}},
+        {"QAOA",
+         {"68b25dedfe9f7f93e8cc42521436048c",
+          "631ef957600b72a8066e52464407e9c2"}},
+        {"QEC",
+         {"b70919a8602329e912621d7c3a22ad62",
+          "4dd864d24e72e263d64509c3790ac1e6"}},
+        {"QFT",
+         {"d213b95a3ab6bcb055e4de5783f7974a",
+          "d0d99cbb01e57a0350d1972e250455ea"}},
+        {"QGAN",
+         {"a86dd12a6ed2eb3618aa0381948d1eb0",
+          "dc3b9cc21184d88257e24b3cc70aebf6"}},
+        {"QV",
+         {"d850e5a9af1c1c092f318504da56d11c",
+          "cd26f4542c8917be31b215e582aeabb6"}},
+        {"SAT",
+         {"84fdc3033bade4b41796e691fd37726e",
+          "fd8473781a8335439ff343d3102e706c"}},
+        {"SECA",
+         {"a836c71dc68fbe3ee5b139f4f072f71f",
+          "12f959b83b98483f9c78383f42be05dc"}},
+        {"SQRT",
+         {"dcfbb80a9c4ef982d57ddb8b57fe6828",
+          "af62db988eec66f44ec1ab6951932eb9"}},
+        {"TFIM",
+         {"60a877291f7b76e59b5db18676e3a7d5",
+          "60a877291f7b76e59b5db18676e3a7d5"}},
+        {"VQE",
+         {"705770b8bd5d9bd8b1437c80b027b805",
+          "9cced4a1c68c91f59092254dc36b8296"}},
+        {"WST",
+         {"4dbba97fa8e5bb5deec73abc09d76498",
+          "ec157b4456cd69d76ae0568e7aeb31d9"}},
+};
+
+}  // namespace
+
+TEST(Goldens, Table04SchedulesAreByteStable) {
+  namespace pb = parallax::bench_circuits;
+  const auto config = parallax::hardware::HardwareConfig::quera_aquila_256();
+  for (const auto& info : pb::all_benchmarks()) {
+    const auto circuit = pb::make_benchmark(info.acronym, {});
+    const auto legacy =
+        parallax::technique::compile("parallax", circuit, config);
+    const auto fast =
+        parallax::technique::compile("parallax-fast", circuit, config);
+    const auto it = kScheduleGoldens.find(info.acronym);
+    ASSERT_NE(it, kScheduleGoldens.end()) << info.acronym;
+    EXPECT_EQ(schedule_digest(legacy), it->second.first)
+        << info.acronym << " parallax";
+    EXPECT_EQ(schedule_digest(fast), it->second.second)
+        << info.acronym << " parallax-fast";
+  }
+}
+
+// A circuit beyond one placement window: a 160-qubit brickwork ring (rz on
+// every qubit, then alternating even/odd nearest-neighbour CZs) placed in
+// 64-qubit windows, the shape of an imported corpus circuit.
+TEST(Goldens, WindowedRingScheduleIsByteStable) {
+  namespace pc = parallax::circuit;
+  constexpr std::int32_t kQubits = 160;
+  pc::Circuit ring(kQubits, "ring160");
+  parallax::util::Rng rng(160);
+  for (int round = 0; round < 12; ++round) {
+    for (std::int32_t q = 0; q < kQubits; ++q) {
+      ring.rz(q, rng.uniform(-3.14159, 3.14159));
+    }
+    for (std::int32_t q = round % 2; q < kQubits; q += 2) {
+      ring.cz(q, (q + 1) % kQubits);
+    }
+  }
+  parallax::pipeline::CompileOptions options;
+  options.placement.max_window_qubits = 64;
+  const auto result = parallax::technique::compile(
+      "parallax-fast", ring,
+      parallax::hardware::HardwareConfig::quera_aquila_256(), options);
+  EXPECT_EQ(schedule_digest(result), "ac422fc01005b7ac5a92ea49d7597ae2");
 }
