@@ -48,16 +48,7 @@ StaticScheduleOutput schedule_static(const circuit::Circuit& circuit,
 
   while (!dag.done()) {
     // One ready gate per qubit.
-    std::vector<std::size_t> candidates;
-    for (std::int32_t q = 0; q < circuit.n_qubits(); ++q) {
-      const auto next = dag.next_gate(q);
-      if (!next || !dag.is_ready(*next)) continue;
-      if (std::find(candidates.begin(), candidates.end(), *next) !=
-          candidates.end()) {
-        continue;
-      }
-      candidates.push_back(*next);
-    }
+    std::vector<std::size_t> candidates = dag.ready_gates();
     assert(!candidates.empty());
     rng.shuffle(candidates);
 

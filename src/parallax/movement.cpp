@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <numbers>
 #include <vector>
 
@@ -10,61 +9,73 @@ namespace parallax::compiler {
 
 namespace {
 
-/// Snapshot of all mutable AOD state, for rollback when a move attempt fails
-/// (the paper resolves failed moves with a trap change; the machine must be
-/// left exactly as it was).
-struct AodSnapshot {
-  std::vector<geom::Point> positions;
-  std::vector<double> rows;
-  std::vector<double> cols;
-
-  explicit AodSnapshot(const hardware::Machine& machine) {
-    positions.reserve(static_cast<std::size_t>(machine.n_qubits()));
-    for (std::int32_t q = 0; q < machine.n_qubits(); ++q) {
-      positions.push_back(machine.position(q));
-    }
-    const auto& aod = machine.aod();
-    for (std::int32_t r = 0; r < aod.n_rows(); ++r) {
-      rows.push_back(aod.row_coord(r));
-    }
-    for (std::int32_t c = 0; c < aod.n_cols(); ++c) {
-      cols.push_back(aod.col_coord(c));
-    }
-  }
-
-  void restore(hardware::Machine& machine) const {
-    for (std::int32_t q = 0; q < machine.n_qubits(); ++q) {
-      if (machine.atom(q).in_aod()) {
-        machine.move_aod_atom(q, positions[static_cast<std::size_t>(q)]);
-      }
-    }
-    auto& aod = machine.aod();
-    for (std::int32_t r = 0; r < aod.n_rows(); ++r) {
-      aod.set_row_coord(r, rows[static_cast<std::size_t>(r)]);
-    }
-    for (std::int32_t c = 0; c < aod.n_cols(); ++c) {
-      aod.set_col_coord(c, cols[static_cast<std::size_t>(c)]);
-    }
-  }
-};
-
 geom::Point rotate(geom::Point v, double radians) {
   const double c = std::cos(radians);
   const double s = std::sin(radians);
   return {v.x * c - v.y * s, v.x * s + v.y * c};
 }
 
-// Travel accounting shared across one move operation. (File-local so the
-// header stays free of the map; the engine is not reentrant, matching its
-// single-scheduler use.)
-thread_local std::map<std::int32_t, double> t_travel;
-
 }  // namespace
+
+MovementEngine::MovementEngine(hardware::Machine& machine, int max_iterations)
+    : machine_(&machine),
+      max_iterations_(max_iterations),
+      static_atoms_(machine.grid().extent(),
+                    machine.config().min_separation_um),
+      travel_(static_cast<std::size_t>(machine.n_qubits()), 0.0) {
+  for (std::int32_t q = 0; q < machine.n_qubits(); ++q) {
+    if (machine.atom(q).in_aod()) {
+      aod_qubits_.push_back(q);
+    } else {
+      static_atoms_.insert(machine.position(q));
+    }
+  }
+}
+
+void MovementEngine::save(Snapshot& snapshot) const {
+  const auto& machine = *machine_;
+  snapshot.positions.clear();
+  snapshot.travel.clear();
+  for (const std::int32_t q : aod_qubits_) {
+    snapshot.positions.push_back(machine.position(q));
+    snapshot.travel.push_back(travel_[static_cast<std::size_t>(q)]);
+  }
+  const auto& aod = machine.aod();
+  snapshot.rows.clear();
+  for (std::int32_t r = 0; r < aod.n_rows(); ++r) {
+    snapshot.rows.push_back(aod.row_coord(r));
+  }
+  snapshot.cols.clear();
+  for (std::int32_t c = 0; c < aod.n_cols(); ++c) {
+    snapshot.cols.push_back(aod.col_coord(c));
+  }
+  snapshot.max_distance = max_distance_;
+  snapshot.displaced = displaced_;
+}
+
+void MovementEngine::restore(const Snapshot& snapshot) {
+  auto& machine = *machine_;
+  for (std::size_t i = 0; i < aod_qubits_.size(); ++i) {
+    machine.move_aod_atom(aod_qubits_[i], snapshot.positions[i]);
+    travel_[static_cast<std::size_t>(aod_qubits_[i])] = snapshot.travel[i];
+  }
+  // Lines last: move_aod_atom drags an atom's lines along with it.
+  auto& aod = machine.aod();
+  for (std::int32_t r = 0; r < aod.n_rows(); ++r) {
+    aod.set_row_coord(r, snapshot.rows[static_cast<std::size_t>(r)]);
+  }
+  for (std::int32_t c = 0; c < aod.n_cols(); ++c) {
+    aod.set_col_coord(c, snapshot.cols[static_cast<std::size_t>(c)]);
+  }
+  max_distance_ = snapshot.max_distance;
+  displaced_ = snapshot.displaced;
+}
 
 void MovementEngine::note_move(std::int32_t q, geom::Point from,
                                geom::Point to) {
-  t_travel[q] += geom::distance(from, to);
-  max_distance_ = std::max(max_distance_, t_travel[q]);
+  double& travel = travel_[static_cast<std::size_t>(q)];
+  travel += geom::distance(from, to);
+  max_distance_ = std::max(max_distance_, travel);
 }
 
 bool MovementEngine::move_line(bool is_row, std::int32_t line, double coord,
@@ -175,18 +186,14 @@ bool MovementEngine::place_atom(std::int32_t q, geom::Point target,
   // Static atoms cannot yield; an SLM atom inside the separation zone of the
   // target makes this spot infeasible.
   const double min_sep = machine.config().min_separation_um;
-  for (std::int32_t other = 0; other < machine.n_qubits(); ++other) {
-    if (other == q || machine.atom(other).in_aod()) continue;
-    if (geom::distance(machine.position(other), target) < min_sep) {
-      return false;
-    }
-  }
+  if (static_atoms_.any_within(target, min_sep)) return false;
 
   if (!resolve_line_order(q, target, depth)) return false;
 
-  // Mobile atoms in the way are displaced recursively.
-  for (std::int32_t other = 0; other < machine.n_qubits(); ++other) {
-    if (other == q || !machine.atom(other).in_aod()) continue;
+  // Mobile atoms in the way are displaced recursively. Positions are read as
+  // each atom is visited: an earlier push may already have moved it.
+  for (const std::int32_t other : aod_qubits_) {
+    if (other == q) continue;
     if (geom::distance(machine.position(other), target) < min_sep) {
       if (!push_away(other, target, depth + 1)) return false;
     }
@@ -205,7 +212,9 @@ MoveOutcome MovementEngine::move_into_range(std::int32_t mover,
   iterations_used_ = 0;
   max_distance_ = 0.0;
   displaced_ = 0;
-  t_travel.clear();
+  for (const std::int32_t q : aod_qubits_) {
+    travel_[static_cast<std::size_t>(q)] = 0.0;
+  }
 
   const double r = machine.interaction_radius();
   const double min_sep = machine.config().min_separation_um;
@@ -220,7 +229,7 @@ MoveOutcome MovementEngine::move_into_range(std::int32_t mover,
                                 -90.0 * kDeg, 135.0 * kDeg, -135.0 * kDeg,
                                 180.0 * kDeg};
 
-  const AodSnapshot initial(machine);
+  save(initial_);
 
   // The recursive displacement of a successful placement may carry the
   // *partner* along (its AOD line can be an order-blocker of the mover's).
@@ -254,18 +263,12 @@ MoveOutcome MovementEngine::move_into_range(std::int32_t mover,
       }
 
       // Roll back failed attempts (machine state and travel accounting).
-      const AodSnapshot attempt_start(machine);
-      const auto travel_start = t_travel;
-      const double max_distance_start = max_distance_;
-      const int displaced_start = displaced_;
+      save(attempt_);
       if (place_atom(mover, target, 0)) {
         placed = true;
         break;
       }
-      attempt_start.restore(machine);
-      t_travel = travel_start;
-      max_distance_ = max_distance_start;
-      displaced_ = displaced_start;
+      restore(attempt_);
       if (iterations_used_ > max_iterations_) break;  // budget exhausted
     }
 
@@ -281,7 +284,7 @@ MoveOutcome MovementEngine::move_into_range(std::int32_t mover,
     if (iterations_used_ > max_iterations_) break;
   }
 
-  initial.restore(machine);
+  restore(initial_);
   outcome.success = false;
   outcome.iterations = iterations_used_;
   return outcome;

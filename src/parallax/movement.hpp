@@ -12,7 +12,9 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
+#include "geometry/uniform_grid.hpp"
 #include "hardware/machine.hpp"
 
 namespace parallax::compiler {
@@ -28,8 +30,11 @@ struct MoveOutcome {
 
 class MovementEngine {
  public:
-  explicit MovementEngine(hardware::Machine& machine, int max_iterations = 80)
-      : machine_(&machine), max_iterations_(max_iterations) {}
+  /// Indexes the machine's trap assignment, which must stay fixed for the
+  /// engine's lifetime (AOD selection runs before scheduling): static atoms
+  /// never move, so only AOD atoms and lines are ever read back or rolled
+  /// back.
+  explicit MovementEngine(hardware::Machine& machine, int max_iterations = 80);
 
   /// Moves AOD atom `mover` within the interaction radius of `partner`.
   /// On failure the machine state is restored to the pre-call configuration.
@@ -59,8 +64,30 @@ class MovementEngine {
 
   void note_move(std::int32_t q, geom::Point from, geom::Point to);
 
+  /// Everything a move attempt can change, for rollback when it fails (the
+  /// scheduler then falls back to a trap change and the machine must be
+  /// exactly as it was).
+  struct Snapshot {
+    std::vector<geom::Point> positions;  // parallel to aod_qubits_
+    std::vector<double> travel;          // parallel to aod_qubits_
+    std::vector<double> rows;
+    std::vector<double> cols;
+    double max_distance = 0.0;
+    int displaced = 0;
+  };
+  void save(Snapshot& snapshot) const;
+  void restore(const Snapshot& snapshot);
+
   hardware::Machine* machine_;
   int max_iterations_;
+  /// Positions of the static (SLM) atoms, cell side = minimum separation.
+  geom::UniformGrid static_atoms_;
+  /// The AOD qubits in ascending order: the only atoms that can move.
+  std::vector<std::int32_t> aod_qubits_;
+  /// Distance travelled by each qubit in the current move operation.
+  std::vector<double> travel_;
+  Snapshot initial_;
+  Snapshot attempt_;
   int iterations_used_ = 0;
   double max_distance_ = 0.0;
   int displaced_ = 0;

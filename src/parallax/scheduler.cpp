@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "circuit/dag.hpp"
+#include "geometry/uniform_grid.hpp"
 #include "parallax/movement.hpp"
 
 namespace parallax::compiler {
@@ -24,23 +25,6 @@ double gate_time_us(const circuit::Gate& g,
   return 0.0;
 }
 
-/// Blockade interference at current atom positions: two CZ gates cannot run
-/// in the same layer if any endpoint of one lies within the blockade radius
-/// of an endpoint of the other (paper Fig. 3a).
-bool blockade_conflict(const hardware::Machine& machine,
-                       const circuit::Gate& g1, const circuit::Gate& g2) {
-  for (int i = 0; i < 2; ++i) {
-    for (int j = 0; j < 2; ++j) {
-      if (geom::distance(machine.position(g1.q[i]),
-                         machine.position(g2.q[j])) <
-          machine.blockade_radius()) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
@@ -56,6 +40,11 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
   MovementEngine mover(machine, options.max_move_iterations);
   util::Rng rng(options.shuffle_seed);
   const auto& config = machine.config();
+  // Endpoints of the CZs already accepted into the current layer (paper
+  // Fig. 3a: two CZs conflict when any endpoint of one lies within the
+  // blockade radius of an endpoint of the other).
+  geom::UniformGrid blockade(machine.grid().extent(),
+                             machine.blockade_radius());
 
   machine.save_home();
 
@@ -64,18 +53,7 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
     bool moved_this_layer = false;
 
     // --- lines 8-11: one ready gate per qubit -------------------------------
-    std::vector<std::size_t> candidates;
-    for (std::int32_t q = 0; q < circuit.n_qubits(); ++q) {
-      const auto next = dag.next_gate(q);
-      if (!next || !dag.is_ready(*next)) continue;
-      // A two-qubit gate surfaces from both endpoints; keep one copy.
-      if (!candidates.empty() &&
-          std::find(candidates.begin(), candidates.end(), *next) !=
-              candidates.end()) {
-        continue;
-      }
-      candidates.push_back(*next);
-    }
+    const std::vector<std::size_t> candidates = dag.ready_gates();
     assert(!candidates.empty());  // a non-done DAG always has a ready head
 
     // --- lines 12-19: movement resolution for out-of-range CZs --------------
@@ -84,15 +62,17 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
     // retries in a later layer and must not accumulate phantom trap
     // changes. The single physical AOD move is different: it mutates
     // machine state, so the moved gate is pinned into the layer.
-    std::vector<std::size_t> accepted;
-    std::vector<char> needs_trap_change;  // parallel to `accepted`
+    struct Accepted {
+      std::size_t gate;
+      char trap_change;  // 0 none, 1 failed move, 2 SLM-SLM excursion
+    };
+    std::vector<Accepted> accepted;
     std::size_t moved_gate = static_cast<std::size_t>(-1);
     for (const std::size_t gi : candidates) {
       const circuit::Gate& g = circuit.gate(gi);
       if (g.type != circuit::GateType::kCZ ||
           machine.within_interaction(g.q[0], g.q[1])) {
-        accepted.push_back(gi);
-        needs_trap_change.push_back(0);
+        accepted.push_back({gi, 0});
         continue;
       }
 
@@ -113,12 +93,10 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
           output.stats.total_move_distance_um += move.max_distance_um;
           output.stats.max_move_distance_um = std::max(
               output.stats.max_move_distance_um, move.max_distance_um);
-          accepted.push_back(gi);
-          needs_trap_change.push_back(0);
+          accepted.push_back({gi, 0});
         } else {
           // Failed moves are resolved with a trap change (paper Sec. III).
-          accepted.push_back(gi);
-          needs_trap_change.push_back(1);
+          accepted.push_back({gi, 1});
         }
         continue;
       }
@@ -126,8 +104,7 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
         // Both static and out of range: trap-and-move excursion (the ~1.3%
         // case). The atom is temporarily AOD-trapped, moved into range,
         // the gate runs, and it returns to its SLM trap within the layer.
-        accepted.push_back(gi);
-        needs_trap_change.push_back(2);  // 2 marks the SLM-SLM statistic
+        accepted.push_back({gi, 2});
         continue;
       }
       // Mobile endpoint exists but this layer already moved: defer the gate
@@ -135,57 +112,42 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
     }
 
     // --- line 20: shuffle to avoid starvation --------------------------------
-    {
-      std::vector<std::size_t> order(accepted.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      rng.shuffle(order);
-      // Pin the physically-moved gate to the front so the blockade filter
-      // can never waste the move.
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        if (accepted[order[i]] == moved_gate) {
-          std::swap(order[0], order[i]);
-          break;
-        }
+    rng.shuffle(accepted);
+    // Pin the physically-moved gate to the front so the blockade filter can
+    // never waste the move.
+    for (std::size_t i = 0; i < accepted.size(); ++i) {
+      if (accepted[i].gate == moved_gate) {
+        std::swap(accepted[0], accepted[i]);
+        break;
       }
-      std::vector<std::size_t> acc2(accepted.size());
-      std::vector<char> tc2(accepted.size());
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        acc2[i] = accepted[order[i]];
-        tc2[i] = needs_trap_change[order[i]];
-      }
-      accepted = std::move(acc2);
-      needs_trap_change = std::move(tc2);
     }
 
     // --- lines 21-22: blockade-interference serialization --------------------
     std::vector<std::size_t> final_gates;
-    for (std::size_t idx = 0; idx < accepted.size(); ++idx) {
-      const std::size_t gi = accepted[idx];
+    blockade.clear();
+    for (const auto& [gi, trap_change] : accepted) {
       const circuit::Gate& g = circuit.gate(gi);
       if (g.type == circuit::GateType::kCZ) {
         // Re-verify range: the layer's AOD move may have recursively
         // displaced an endpoint of a gate that was in range when it was
         // accepted. Such gates are ejected and retry next layer.
         // (Trap-change gates execute via an excursion and are exempt.)
-        if (needs_trap_change[idx] == 0 &&
-            !machine.within_interaction(g.q[0], g.q[1])) {
+        if (trap_change == 0 && !machine.within_interaction(g.q[0], g.q[1])) {
           continue;
         }
-        bool conflicts = false;
-        for (const std::size_t prior : final_gates) {
-          const circuit::Gate& pg = circuit.gate(prior);
-          if (pg.type == circuit::GateType::kCZ &&
-              blockade_conflict(machine, g, pg)) {
-            conflicts = true;
-            break;
-          }
+        const geom::Point a = machine.position(g.q[0]);
+        const geom::Point b = machine.position(g.q[1]);
+        const double radius = machine.blockade_radius();
+        if (blockade.any_within(a, radius) || blockade.any_within(b, radius)) {
+          continue;  // ejected back to the pool
         }
-        if (conflicts) continue;  // ejected back to the pool
+        blockade.insert(a);
+        blockade.insert(b);
       }
-      if (needs_trap_change[idx] != 0) {
+      if (trap_change != 0) {
         ++layer.trap_changes;
         ++output.stats.trap_changes;
-        if (needs_trap_change[idx] == 2) ++output.stats.slm_slm_cz;
+        if (trap_change == 2) ++output.stats.slm_slm_cz;
       }
       final_gates.push_back(gi);
     }
@@ -197,7 +159,7 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
       assert(!accepted.empty());
       ++layer.trap_changes;
       ++output.stats.trap_changes;
-      final_gates.push_back(accepted.front());
+      final_gates.push_back(accepted.front().gate);
     }
 
     // --- line 23: execute -----------------------------------------------------

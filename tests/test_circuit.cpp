@@ -2,14 +2,18 @@
 // layering, unitary algebra, and the interaction graph.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numbers>
+#include <vector>
 
 #include "circuit/circuit.hpp"
 #include "circuit/dag.hpp"
 #include "circuit/interaction_graph.hpp"
 #include "circuit/unitary.hpp"
+#include "util/rng.hpp"
 
 namespace pc = parallax::circuit;
+namespace util = parallax::util;
 constexpr double kPi = std::numbers::pi;
 
 namespace {
@@ -130,6 +134,42 @@ TEST(DependencyTracker, NextGatePerQubit) {
   EXPECT_FALSE(dag.is_ready(1));
   dag.mark_executed(0);
   EXPECT_TRUE(dag.is_ready(1));
+}
+
+// The incrementally kept frontier must equal a scan over every qubit's head
+// — same gates, ascending lowest qubit, each once — after every step of a
+// random execution order.
+TEST(DependencyTracker, ReadyGatesMatchAHeadScan) {
+  util::Rng rng(0xF407);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::int32_t n = 2 + static_cast<std::int32_t>(rng.next_below(9));
+    pc::Circuit c(n);
+    for (int i = 0; i < 120; ++i) {
+      const auto a = static_cast<std::int32_t>(rng.next_below(n));
+      const auto b = static_cast<std::int32_t>(rng.next_below(n));
+      switch (rng.next_below(4)) {
+        case 0: c.barrier(); break;
+        case 1: c.u3(a, 0.1, 0.2, 0.3); break;
+        default:
+          if (a != b) c.cz(a, b);
+      }
+    }
+    pc::DependencyTracker dag(c);
+    while (true) {
+      std::vector<std::size_t> scan;
+      for (std::int32_t q = 0; q < n; ++q) {
+        const auto head = dag.next_gate(q);
+        if (!head || !dag.is_ready(*head)) continue;
+        if (std::find(scan.begin(), scan.end(), *head) == scan.end()) {
+          scan.push_back(*head);
+        }
+      }
+      const std::vector<std::size_t> ready = dag.ready_gates();
+      ASSERT_EQ(ready, scan) << "trial " << trial;
+      if (dag.done()) break;
+      dag.mark_executed(ready[rng.next_below(ready.size())]);
+    }
+  }
 }
 
 TEST(AsapLayers, RespectsDependencies) {

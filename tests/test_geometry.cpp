@@ -1,8 +1,13 @@
-// Geometry tests: points, cells, grids, occupancy spiral search.
+// Geometry tests: points, cells, grids, occupancy spiral search, and the
+// uniform bucket grid.
 #include <gtest/gtest.h>
+
+#include <random>
+#include <vector>
 
 #include "geometry/grid.hpp"
 #include "geometry/point.hpp"
+#include "geometry/uniform_grid.hpp"
 
 namespace pg = parallax::geom;
 
@@ -84,4 +89,46 @@ TEST(Occupancy, FullGridReturnsNullopt) {
     for (std::int32_t c = 0; c < 2; ++c) occ.set({c, r}, true);
   }
   EXPECT_FALSE(occ.nearest_free({0, 0}).has_value());
+}
+
+// The bucket grid must answer exactly what a scan over every point with the
+// same strict predicate answers — including points outside its square, query
+// radii on and off the cell size, and cells far smaller than the field.
+TEST(UniformGrid, AnyWithinMatchesAFullScan) {
+  std::mt19937_64 rng(0x9e1d);
+  std::uniform_real_distribution<double> coord(-20.0, 120.0);
+  std::uniform_real_distribution<double> radius(0.0, 15.0);
+  for (const double cell : {2.0, 7.5, 0.01, 0.0}) {
+    pg::UniformGrid grid(100.0, cell);
+    std::vector<pg::Point> points;
+    for (int round = 0; round < 3; ++round) {
+      for (int i = 0; i < 60; ++i) {
+        points.push_back({coord(rng), coord(rng)});
+        grid.insert(points.back());
+      }
+      for (int i = 0; i < 400; ++i) {
+        const pg::Point p{coord(rng), coord(rng)};
+        const double r = i % 4 == 0 ? cell : radius(rng);
+        bool expected = false;
+        for (const pg::Point& s : points) {
+          expected = expected || pg::distance(p, s) < r;
+        }
+        EXPECT_EQ(grid.any_within(p, r), expected)
+            << "cell " << cell << " query (" << p.x << ", " << p.y
+            << ") r " << r;
+      }
+      grid.clear();
+      points.clear();
+    }
+  }
+}
+
+TEST(UniformGrid, PredicateIsStrict) {
+  pg::UniformGrid grid(10.0, 2.0);
+  grid.insert({4.0, 4.0});
+  EXPECT_FALSE(grid.any_within({6.0, 4.0}, 2.0));  // exactly at the radius
+  EXPECT_TRUE(grid.any_within({6.0, 4.0}, 2.0000001));
+  EXPECT_FALSE(grid.any_within({4.0, 4.0}, 0.0));
+  grid.clear();
+  EXPECT_FALSE(grid.any_within({4.0, 4.0}, 5.0));
 }
