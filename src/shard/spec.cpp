@@ -38,6 +38,10 @@ void encode_placement(Writer& w, const placement::GraphineOptions& o) {
   w.f64(o.crowding_weight);
   w.boolean(o.warm_start);
   w.u64(o.seed);
+  w.u8(static_cast<std::uint8_t>(o.proposal));
+  w.i32(o.chains);
+  w.i32(o.max_window_qubits);
+  w.i32(o.portfolio_entrants);
 }
 
 placement::GraphineOptions decode_placement(Reader& r) {
@@ -48,6 +52,14 @@ placement::GraphineOptions decode_placement(Reader& r) {
   o.crowding_weight = r.f64();
   o.warm_start = r.boolean();
   o.seed = r.u64();
+  const std::uint8_t proposal = r.u8();
+  if (proposal > static_cast<std::uint8_t>(placement::ProposalMode::kBatched)) {
+    throw ReadError("sweep spec has an unknown placement proposal mode");
+  }
+  o.proposal = static_cast<placement::ProposalMode>(proposal);
+  o.chains = r.i32();
+  o.max_window_qubits = r.i32();
+  o.portfolio_entrants = r.i32();
   return o;
 }
 

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -505,6 +506,54 @@ TEST(ShardSpecFuzz, RandomSpecsRoundTripExactly) {
     EXPECT_EQ(parsed.shard_index, shard.shard_index);
     EXPECT_EQ(parsed.sweep.options.compile.seed, spec.options.compile.seed);
   }
+}
+
+// The placement codec must carry every GraphineOptions field: a field it
+// drops silently reverts to its default in every shard and served sweep
+// (a --window spec would run un-windowed). Each field is perturbed alone so
+// a dropped one cannot hide behind another.
+TEST(ShardSpecCodec, EveryPlacementFieldRoundTrips) {
+  const auto fields = [](const ppl::GraphineOptions& o) {
+    return std::make_tuple(o.anneal_iterations, o.local_search_evaluations,
+                           o.crowding_distance, o.crowding_weight,
+                           o.warm_start, o.seed,
+                           static_cast<int>(o.proposal), o.chains,
+                           o.max_window_qubits, o.portfolio_entrants);
+  };
+  using Mutation = std::pair<const char*, void (*)(ppl::GraphineOptions&)>;
+  const Mutation mutations[] = {
+      {"anneal_iterations", [](auto& o) { o.anneal_iterations = 17; }},
+      {"local_search_evaluations",
+       [](auto& o) { o.local_search_evaluations = 23; }},
+      {"crowding_distance", [](auto& o) { o.crowding_distance = 0.125; }},
+      {"crowding_weight", [](auto& o) { o.crowding_weight = 3.5; }},
+      {"warm_start", [](auto& o) { o.warm_start = !o.warm_start; }},
+      {"seed", [](auto& o) { o.seed = 0xDEADBEEFCAFEULL; }},
+      {"proposal", [](auto& o) { o.proposal = ppl::ProposalMode::kBatched; }},
+      {"chains", [](auto& o) { o.chains = 3; }},
+      {"max_window_qubits", [](auto& o) { o.max_window_qubits = 64; }},
+      {"portfolio_entrants", [](auto& o) { o.portfolio_entrants = 2; }},
+  };
+  for (const auto& [name, mutate] : mutations) {
+    sh::SweepSpec spec = small_spec();
+    const auto before = fields(spec.options.compile.placement);
+    mutate(spec.options.compile.placement);
+    ASSERT_NE(fields(spec.options.compile.placement), before) << name;
+    const sh::SweepSpec parsed =
+        sh::parse_sweep_spec(sh::serialize_sweep_spec(spec));
+    EXPECT_EQ(fields(parsed.options.compile.placement),
+              fields(spec.options.compile.placement))
+        << name;
+  }
+}
+
+TEST(ShardSpecCodec, UnknownProposalModeIsRejected) {
+  sh::SweepSpec spec = small_spec();
+  spec.options.compile.placement.proposal =
+      static_cast<ppl::ProposalMode>(7);
+  expect_rejected(
+      [](const std::string& bytes) { (void)sh::parse_sweep_spec(bytes); },
+      sh::serialize_sweep_spec(spec));
 }
 
 TEST(ShardSpecFuzz, TruncationsAndCorruptionsAreRejected) {
