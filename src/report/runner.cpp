@@ -66,7 +66,7 @@ sweep::Result ServiceRunner::execute(const shard::SweepSpec& spec) {
         }
         if (on_cell_) on_cell_(cell);
       });
-  const serve::Summary& summary = ticket->wait();
+  const serve::Summary summary = ticket->wait();
   if (!summary.ok()) {
     throw ReportError("serve session request failed: " + summary.error);
   }

@@ -59,8 +59,10 @@ class Ticket {
   void cancel() noexcept { token_->store(true, std::memory_order_relaxed); }
 
   /// Blocks until the request finished (completed, failed, or cancelled).
-  /// By then every on_cell/on_done callback has returned.
-  const Summary& wait();
+  /// By then every on_cell/on_done callback has returned. Returns a copy:
+  /// the caller may hold the ticket only through a temporary, as in
+  /// `service.submit(spec)->wait()`.
+  Summary wait();
 
   [[nodiscard]] bool done() const;
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }

@@ -116,6 +116,36 @@ struct CellCollector {
   }
 };
 
+/// An on_cell that parks the service's dispatcher in a request's first cell
+/// until released. Tests that need a request still running when the next
+/// line or call arrives hold it here instead of racing the compile.
+struct CellGate {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool entered = false;
+  bool released = false;
+
+  std::function<void(const sw::Cell&)> callback() {
+    return [this](const sw::Cell&) {
+      std::unique_lock lock(mutex);
+      entered = true;
+      cv.notify_all();
+      cv.wait(lock, [this] { return released; });
+    };
+  }
+  void wait_entered() {
+    std::unique_lock lock(mutex);
+    cv.wait(lock, [this] { return entered; });
+  }
+  void release() {
+    {
+      std::lock_guard lock(mutex);
+      released = true;
+    }
+    cv.notify_all();
+  }
+};
+
 /// Reads one response frame from fd (blocking).
 sv::Frame read_frame(int fd) {
   std::string header_bytes;
@@ -325,7 +355,7 @@ TEST(SweepService, StreamedCellsMatchInProcessSweepByteForByte) {
   sv::SweepService service({.n_threads = 2, .cache = nullptr});
   CellCollector collector;
   const auto ticket = service.submit(spec, collector.callback());
-  const sv::Summary& summary = ticket->wait();
+  const sv::Summary summary = ticket->wait();
   ASSERT_TRUE(summary.ok()) << summary.error;
   EXPECT_EQ(summary.total_cells, spec.total_cells());
   EXPECT_EQ(summary.executed_cells, spec.total_cells());
@@ -345,13 +375,13 @@ TEST(SweepService, WarmRepeatStreamsIdenticalCellsWithZeroAnneals) {
       pc::CompilationCache::open({.directory = fresh_dir("warm")});
   sv::SweepService service(service_options);
 
-  const sv::Summary& cold = service.submit(spec)->wait();
+  const sv::Summary cold = service.submit(spec)->wait();
   ASSERT_TRUE(cold.ok()) << cold.error;
   EXPECT_GT(cold.anneals, 0u);
   EXPECT_EQ(cold.result_cache_hits, 0u);
 
   CellCollector collector;
-  const sv::Summary& warm =
+  const sv::Summary warm =
       service.submit(spec, collector.callback())->wait();
   ASSERT_TRUE(warm.ok()) << warm.error;
   EXPECT_EQ(warm.anneals, 0u);  // the acceptance criterion
@@ -374,8 +404,8 @@ TEST(SweepService, OverlappingSubmissionsShareOneColdCompile) {
   // must make the second a pure replay.
   const auto first = service.submit(spec);
   const auto second = service.submit(spec);
-  const sv::Summary& s1 = first->wait();
-  const sv::Summary& s2 = second->wait();
+  const sv::Summary s1 = first->wait();
+  const sv::Summary s2 = second->wait();
   ASSERT_TRUE(s1.ok()) << s1.error;
   ASSERT_TRUE(s2.ok()) << s2.error;
   EXPECT_GT(s1.anneals, 0u);
@@ -405,7 +435,7 @@ TEST(SweepService, CancellationStopsBeforeCompletingAllCells) {
     ticket = submitted;
   }
   cv.notify_all();
-  const sv::Summary& summary = submitted->wait();
+  const sv::Summary summary = submitted->wait();
   EXPECT_TRUE(summary.cancelled);
   EXPECT_EQ(summary.executed_cells, 1u);
   EXPECT_EQ(summary.cancelled_cells, spec.total_cells() - 1);
@@ -415,10 +445,13 @@ TEST(SweepService, CancellationStopsBeforeCompletingAllCells) {
 TEST(SweepService, CancellingAQueuedRequestRunsNothing) {
   const sh::SweepSpec spec = small_spec();
   sv::SweepService service({.n_threads = 1, .cache = nullptr});
-  const auto running = service.submit(spec);
+  // The first request stays running until the second is cancelled.
+  CellGate gate;
+  const auto running = service.submit(spec, gate.callback());
   const auto queued = service.submit(spec);
   queued->cancel();
-  const sv::Summary& queued_summary = queued->wait();
+  gate.release();
+  const sv::Summary queued_summary = queued->wait();
   EXPECT_TRUE(queued_summary.cancelled);
   EXPECT_EQ(queued_summary.executed_cells, 0u);
   EXPECT_EQ(queued_summary.cancelled_cells, spec.total_cells());
@@ -429,11 +462,11 @@ TEST(SweepService, UnknownTechniqueFailsTheRequestNotTheService) {
   sh::SweepSpec bad = small_spec();
   bad.techniques.push_back("nope");
   sv::SweepService service({.n_threads = 1, .cache = nullptr});
-  const sv::Summary& failed = service.submit(bad)->wait();
+  const sv::Summary failed = service.submit(bad)->wait();
   EXPECT_FALSE(failed.ok());
   EXPECT_NE(failed.error.find("nope"), std::string::npos);
   // The service survives and serves the next request.
-  const sv::Summary& good = service.submit(small_spec())->wait();
+  const sv::Summary good = service.submit(small_spec())->wait();
   EXPECT_TRUE(good.ok()) << good.error;
 }
 
@@ -924,7 +957,7 @@ TEST(SweepService, RequestAnnealAccountingIgnoresConcurrentProcessAnneals) {
     release = true;
   }
   cv.notify_all();
-  const sv::Summary& summary = ticket->wait();
+  const sv::Summary summary = ticket->wait();
   ASSERT_TRUE(summary.ok()) << summary.error;
   EXPECT_EQ(summary.anneals, expected);
   EXPECT_EQ(service.session_stats().anneals, expected);
@@ -941,7 +974,7 @@ TEST(SweepService, FailedRequestIsChargedZeroAnneals) {
 
   sh::SweepSpec bad = spec;
   bad.techniques.push_back("nope");
-  const sv::Summary& failed = service.submit(bad, {}, {}, 2, 3)->wait();
+  const sv::Summary failed = service.submit(bad, {}, {}, 2, 3)->wait();
   EXPECT_FALSE(failed.ok());
   EXPECT_EQ(failed.anneals, 0u);  // validation throws before any anneal
 
@@ -1015,21 +1048,25 @@ TEST(ServeConnection, SubmitOverTheInflightQuotaIsRejectedNamingTheLimit) {
     pipes.out[1] = -1;
   });
 
-  // Both lines land in one read: the second is checked while the first is
-  // still compiling, so the quota trips deterministically.
+  // Another tenant's request holds the only dispatcher, so request 1 is
+  // still in flight (queued) when request 2 arrives, however the two lines
+  // are split across reads and however fast cells compile.
+  CellGate gate;
+  const auto blocker = service.submit(spec, gate.callback(), {}, 0, 99);
+  gate.wait_entered();
   ASSERT_TRUE(sv::write_all(pipes.in[1],
                             sv::submit_line(1, spec) + sv::submit_line(2, spec)));
+  const sv::Frame error = read_frame(pipes.out[0]);
+  gate.release();
+  EXPECT_EQ(error.type, sv::FrameType::kError);
+  EXPECT_EQ(error.request_id, 2u);
+  EXPECT_NE(error.message.find("max in-flight"), std::string::npos);
+  EXPECT_NE(error.message.find("limit 1"), std::string::npos);
+  EXPECT_TRUE(blocker->wait().ok());
+
   std::size_t cells = 0;
-  bool rejected = false;
   for (;;) {
     const sv::Frame frame = read_frame(pipes.out[0]);
-    if (frame.type == sv::FrameType::kError) {
-      EXPECT_EQ(frame.request_id, 2u);
-      EXPECT_NE(frame.message.find("max in-flight"), std::string::npos);
-      EXPECT_NE(frame.message.find("limit 1"), std::string::npos);
-      rejected = true;
-      continue;
-    }
     ASSERT_EQ(frame.request_id, 1u);
     if (frame.type == sv::FrameType::kDone) {
       EXPECT_TRUE(frame.summary.ok());
@@ -1037,7 +1074,6 @@ TEST(ServeConnection, SubmitOverTheInflightQuotaIsRejectedNamingTheLimit) {
     }
     ++cells;
   }
-  EXPECT_TRUE(rejected);
   EXPECT_EQ(cells, spec.total_cells());
 
   ASSERT_TRUE(sv::write_all(pipes.in[1], sv::quit_line()));
@@ -1271,19 +1307,24 @@ TEST(ServeFarm, SubmitOverTheInflightQuotaGetsAnErrorNamingTheLimit) {
 
   const int fd = connect_unix(socket_path);
   ASSERT_GE(fd, 0);
+  // As in the single-connection case: a gated request on another client id
+  // keeps request 1 in flight while request 2 is checked.
+  CellGate gate;
+  const auto blocker = service.submit(spec, gate.callback(), {}, 0, 99);
+  gate.wait_entered();
   ASSERT_TRUE(sv::write_all(fd,
                             sv::submit_line(1, spec) + sv::submit_line(2, spec)));
+  const sv::Frame error = read_frame(fd);
+  gate.release();
+  EXPECT_EQ(error.type, sv::FrameType::kError);
+  EXPECT_EQ(error.request_id, 2u);
+  EXPECT_NE(error.message.find("max in-flight"), std::string::npos);
+  EXPECT_NE(error.message.find("limit 1"), std::string::npos);
+  EXPECT_TRUE(blocker->wait().ok());
+
   std::size_t cells = 0;
-  bool rejected = false;
   for (;;) {
     const sv::Frame frame = read_frame(fd);
-    if (frame.type == sv::FrameType::kError) {
-      EXPECT_EQ(frame.request_id, 2u);
-      EXPECT_NE(frame.message.find("max in-flight"), std::string::npos);
-      EXPECT_NE(frame.message.find("limit 1"), std::string::npos);
-      rejected = true;
-      continue;
-    }
     ASSERT_EQ(frame.request_id, 1u);
     if (frame.type == sv::FrameType::kDone) {
       EXPECT_TRUE(frame.summary.ok());
@@ -1291,7 +1332,6 @@ TEST(ServeFarm, SubmitOverTheInflightQuotaGetsAnErrorNamingTheLimit) {
     }
     ++cells;
   }
-  EXPECT_TRUE(rejected);
   EXPECT_EQ(cells, spec.total_cells());
   ::close(fd);
 
@@ -1349,15 +1389,24 @@ TEST(ServeFarm, SlowReaderIsDetachedWithoutStallingTheFarm) {
   EXPECT_EQ(sh::canonical_bytes(outcome.result),
             sh::canonical_bytes(reference));
 
-  // The slow reader ends up detached (connected=false) and all its requests
-  // accounted — completed or cancelled, never leaked.
+  // The slow reader ends up detached (connected=false) with its requests
+  // accounted — completed or cancelled, never leaked. How many of its lines
+  // the server reads before the byte cap detaches it depends on how fast
+  // cells compile, so the row is found by client id, not by count: the slow
+  // tenant connected first, so it has the lowest socket client id (0 is the
+  // in-process client).
   bool detached = false;
   for (int i = 0; i < 4000 && !detached; ++i) {
     const sv::SessionStats stats = good.stats();
+    const sv::ClientStats* slow = nullptr;
     for (const sv::ClientStats& row : stats.clients) {
-      // The slow tenant is the one holding the n_requests backlog; the good
-      // client's row never climbs past its own handful.
-      if (row.requests == n_requests && !row.connected) detached = true;
+      if (row.client_id != 0 && (!slow || row.client_id < slow->client_id)) {
+        slow = &row;
+      }
+    }
+    if (slow && slow->requests > 0 && slow->requests <= n_requests &&
+        !slow->connected) {
+      detached = true;
     }
     if (!detached) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
