@@ -63,6 +63,14 @@ void validate(const std::vector<double>& lower,
   }
 }
 
+/// ln|Gamma(x)|, the value std::lgamma returns, without std::lgamma's write
+/// to the process-global `signgam`: anneals run concurrently in sweep,
+/// shard and serve pools, and that write is a data race.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 /// Draws a step from the Tsallis visiting distribution at temperature
 /// `temperature` with shape `qv`. Implementation follows the standard GSA
 /// formulation (Tsallis & Stariolo, 1996): a ratio of a Gaussian to a
@@ -79,7 +87,7 @@ double visit_step(util::Rng& rng, double qv, double temperature) {
   const double d1 = 2.0 - factor5;
   const double factor6 = std::numbers::pi * (1.0 - factor5) /
                          std::sin(std::numbers::pi * (1.0 - factor5)) /
-                         std::exp(std::lgamma(d1));
+                         std::exp(log_gamma(d1));
   const double sigma_x =
       std::exp(-(qv - 1.0) * std::log(factor6 / factor4) / (3.0 - qv));
 
@@ -110,7 +118,7 @@ struct VisitConstants {
     const double d1 = 2.0 - factor5;
     factor6 = std::numbers::pi * (1.0 - factor5) /
               std::sin(std::numbers::pi * (1.0 - factor5)) /
-              std::exp(std::lgamma(d1));
+              std::exp(log_gamma(d1));
     tail_exponent = (qv - 1.0) / (3.0 - qv);
   }
 
