@@ -19,8 +19,8 @@ UniformGrid::UniformGrid(double extent_um, double cell_um) {
   }
   side_ = static_cast<std::int32_t>(std::floor(extent / cell)) + 1;
   inv_cell_ = 1.0 / cell;
-  head_.assign(static_cast<std::size_t>(side_) * static_cast<std::size_t>(side_),
-               -1);
+  const auto side = static_cast<std::size_t>(side_);
+  head_.assign(side * side, -1);
 }
 
 std::int32_t UniformGrid::axis_cell(double v) const noexcept {
