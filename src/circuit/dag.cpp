@@ -5,15 +5,10 @@
 
 namespace parallax::circuit {
 
-namespace {
-constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
-}  // namespace
-
 DependencyTracker::DependencyTracker(const Circuit& circuit)
     : circuit_(&circuit),
       per_qubit_(static_cast<std::size_t>(circuit.n_qubits())),
-      cursor_(static_cast<std::size_t>(circuit.n_qubits()), 0),
-      frontier_slot_(static_cast<std::size_t>(circuit.n_qubits()), kAbsent) {
+      cursor_(static_cast<std::size_t>(circuit.n_qubits()), 0) {
   const auto& gates = circuit.gates();
   for (std::size_t i = 0; i < gates.size(); ++i) {
     const Gate& g = gates[i];
@@ -23,23 +18,6 @@ DependencyTracker::DependencyTracker(const Circuit& circuit)
     }
     ++remaining_;
   }
-  for (std::int32_t q = 0; q < circuit.n_qubits(); ++q) admit_if_ready(q);
-}
-
-std::int32_t DependencyTracker::lowest_qubit(std::size_t gate_index) const {
-  const Gate& g = circuit_->gate(gate_index);
-  return g.is_two_qubit() ? std::min(g.q[0], g.q[1]) : g.q[0];
-}
-
-void DependencyTracker::admit_if_ready(std::int32_t qubit) {
-  const auto head = next_gate(qubit);
-  if (!head || !is_ready(*head)) return;
-  // Both cursors of a two-qubit gate can reach it in one step; admit once.
-  std::size_t& slot =
-      frontier_slot_[static_cast<std::size_t>(lowest_qubit(*head))];
-  if (slot != kAbsent) return;
-  slot = frontier_.size();
-  frontier_.push_back(*head);
 }
 
 std::optional<std::size_t> DependencyTracker::next_gate(
@@ -61,29 +39,11 @@ bool DependencyTracker::is_ready(std::size_t gate_index) const {
 void DependencyTracker::mark_executed(std::size_t gate_index) {
   assert(is_ready(gate_index));
   const Gate& g = circuit_->gate(gate_index);
-  // Swap-remove from the frontier.
-  std::size_t& slot =
-      frontier_slot_[static_cast<std::size_t>(lowest_qubit(gate_index))];
-  const std::size_t last = frontier_.back();
-  frontier_[slot] = last;
-  frontier_slot_[static_cast<std::size_t>(lowest_qubit(last))] = slot;
-  frontier_.pop_back();
-  slot = kAbsent;
-
   for (int k = 0; k < g.arity(); ++k) {
     ++cursor_[static_cast<std::size_t>(g.q[k])];
   }
-  for (int k = 0; k < g.arity(); ++k) admit_if_ready(g.q[k]);
   assert(remaining_ > 0);
   --remaining_;
-}
-
-std::vector<std::size_t> DependencyTracker::ready_gates() const {
-  std::vector<std::size_t> ready = frontier_;
-  std::sort(ready.begin(), ready.end(), [this](std::size_t a, std::size_t b) {
-    return lowest_qubit(a) < lowest_qubit(b);
-  });
-  return ready;
 }
 
 std::vector<std::vector<std::size_t>> asap_layers(const Circuit& circuit) {

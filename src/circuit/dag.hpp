@@ -22,14 +22,9 @@ class DependencyTracker {
   /// A gate is ready iff it is the head of every involved qubit's queue.
   [[nodiscard]] bool is_ready(std::size_t gate_index) const;
 
-  /// Marks a ready gate executed and advances the involved qubits' cursors;
-  /// the gates this makes ready join the frontier. Precondition:
-  /// is_ready(gate_index).
+  /// Marks a ready gate executed and advances the involved qubits' cursors.
+  /// Precondition: is_ready(gate_index).
   void mark_executed(std::size_t gate_index);
-
-  /// Every ready gate, by ascending lowest qubit: one gate per qubit, in the
-  /// order a scan over the qubits' heads would surface them.
-  [[nodiscard]] std::vector<std::size_t> ready_gates() const;
 
   [[nodiscard]] std::size_t remaining() const noexcept { return remaining_; }
   [[nodiscard]] bool done() const noexcept { return remaining_ == 0; }
@@ -43,14 +38,6 @@ class DependencyTracker {
   std::vector<std::vector<std::size_t>> per_qubit_;
   std::vector<std::size_t> cursor_;
   std::size_t remaining_ = 0;
-  // The ready frontier, unordered. A qubit heads at most one ready gate, so
-  // each is keyed by its lowest qubit: frontier_slot_[q] is the position in
-  // frontier_ of the ready gate whose lowest qubit is q, or size_t(-1).
-  std::vector<std::size_t> frontier_;
-  std::vector<std::size_t> frontier_slot_;
-
-  [[nodiscard]] std::int32_t lowest_qubit(std::size_t gate_index) const;
-  void admit_if_ready(std::int32_t qubit);
 };
 
 /// ASAP layering of a circuit: gates grouped by dependency level only

@@ -14,6 +14,7 @@
 // slow-reader detachment that never delays the other tenants, and graceful
 // drain (STOP / the stop flag) unlinking the socket file.
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -27,6 +28,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -155,6 +157,20 @@ sv::Frame read_frame(int fd) {
   EXPECT_TRUE(sv::read_exact(fd, payload,
                              static_cast<std::size_t>(header.payload_size)));
   return sv::decode_frame(header, payload);
+}
+
+/// Reads one response frame from fd, or nullopt if none starts arriving
+/// within `timeout`. For reads made while a CellGate parks the dispatcher:
+/// a frame that never comes fails the test instead of hanging it.
+std::optional<sv::Frame> read_frame_within(int fd,
+                                           std::chrono::seconds timeout) {
+  pollfd entry{fd, POLLIN, 0};
+  const auto millis =
+      std::chrono::duration_cast<std::chrono::milliseconds>(timeout);
+  if (::poll(&entry, 1, static_cast<int>(millis.count())) <= 0) {
+    return std::nullopt;
+  }
+  return read_frame(fd);
 }
 
 }  // namespace
@@ -1056,13 +1072,16 @@ TEST(ServeConnection, SubmitOverTheInflightQuotaIsRejectedNamingTheLimit) {
   gate.wait_entered();
   ASSERT_TRUE(sv::write_all(pipes.in[1],
                             sv::submit_line(1, spec) + sv::submit_line(2, spec)));
-  const sv::Frame error = read_frame(pipes.out[0]);
+  const std::optional<sv::Frame> error =
+      read_frame_within(pipes.out[0], std::chrono::seconds(30));
   gate.release();
-  EXPECT_EQ(error.type, sv::FrameType::kError);
-  EXPECT_EQ(error.request_id, 2u);
-  EXPECT_NE(error.message.find("max in-flight"), std::string::npos);
-  EXPECT_NE(error.message.find("limit 1"), std::string::npos);
   EXPECT_TRUE(blocker->wait().ok());
+  ASSERT_TRUE(error.has_value())
+      << "request 2 was not rejected while request 1 was in flight";
+  EXPECT_EQ(error->type, sv::FrameType::kError);
+  EXPECT_EQ(error->request_id, 2u);
+  EXPECT_NE(error->message.find("max in-flight"), std::string::npos);
+  EXPECT_NE(error->message.find("limit 1"), std::string::npos);
 
   std::size_t cells = 0;
   for (;;) {
@@ -1314,13 +1333,16 @@ TEST(ServeFarm, SubmitOverTheInflightQuotaGetsAnErrorNamingTheLimit) {
   gate.wait_entered();
   ASSERT_TRUE(sv::write_all(fd,
                             sv::submit_line(1, spec) + sv::submit_line(2, spec)));
-  const sv::Frame error = read_frame(fd);
+  const std::optional<sv::Frame> error =
+      read_frame_within(fd, std::chrono::seconds(30));
   gate.release();
-  EXPECT_EQ(error.type, sv::FrameType::kError);
-  EXPECT_EQ(error.request_id, 2u);
-  EXPECT_NE(error.message.find("max in-flight"), std::string::npos);
-  EXPECT_NE(error.message.find("limit 1"), std::string::npos);
   EXPECT_TRUE(blocker->wait().ok());
+  ASSERT_TRUE(error.has_value())
+      << "request 2 was not rejected while request 1 was in flight";
+  EXPECT_EQ(error->type, sv::FrameType::kError);
+  EXPECT_EQ(error->request_id, 2u);
+  EXPECT_NE(error->message.find("max in-flight"), std::string::npos);
+  EXPECT_NE(error->message.find("limit 1"), std::string::npos);
 
   std::size_t cells = 0;
   for (;;) {
@@ -1364,7 +1386,7 @@ TEST(ServeFarm, SlowReaderIsDetachedWithoutStallingTheFarm) {
   });
   ASSERT_TRUE(wait_for_socket(socket_path));
 
-  // A tenant that submits a pile of sweeps and never reads a byte. Sized so
+  // A tenant that submits a pile of sweeps and never reads a cell. Sized so
   // its unread frames overrun the socket buffer and the per-client byte cap,
   // whichever the kernel's buffering exposes first.
   const std::size_t frame_bytes =
@@ -1374,11 +1396,26 @@ TEST(ServeFarm, SlowReaderIsDetachedWithoutStallingTheFarm) {
       std::min<std::size_t>(512, (3u << 20) / per_request + 8);
   const int slow_fd = connect_unix(socket_path);
   ASSERT_GE(slow_fd, 0);
+  // Another tenant's gated request holds the dispatcher until the server
+  // has read the whole backlog, so no cell frame (and no detach) can come
+  // before the last submit line is in, however fast cells compile. The
+  // STATS line after the backlog is the proof: lines are handled in order
+  // and the reply is the first frame on the connection.
+  CellGate gate;
+  const auto blocker = service.submit(spec, gate.callback(), {}, 0, 99);
+  gate.wait_entered();
   std::string backlog;
   for (std::size_t id = 1; id <= n_requests; ++id) {
     backlog += sv::submit_line(id, spec);
   }
+  backlog += sv::stats_line(n_requests + 1);
   ASSERT_TRUE(sv::write_all(slow_fd, backlog));
+  const std::optional<sv::Frame> backlog_in =
+      read_frame_within(slow_fd, std::chrono::seconds(30));
+  gate.release();
+  EXPECT_TRUE(blocker->wait().ok());
+  ASSERT_TRUE(backlog_in.has_value()) << "no STATS reply behind the backlog";
+  EXPECT_EQ(backlog_in->type, sv::FrameType::kStats);
 
   // A well-behaved tenant connects after it and must be served promptly —
   // round-robin interleaves it past the slow reader's backlog, and the
@@ -1389,24 +1426,15 @@ TEST(ServeFarm, SlowReaderIsDetachedWithoutStallingTheFarm) {
   EXPECT_EQ(sh::canonical_bytes(outcome.result),
             sh::canonical_bytes(reference));
 
-  // The slow reader ends up detached (connected=false) with its requests
-  // accounted — completed or cancelled, never leaked. How many of its lines
-  // the server reads before the byte cap detaches it depends on how fast
-  // cells compile, so the row is found by client id, not by count: the slow
-  // tenant connected first, so it has the lowest socket client id (0 is the
-  // in-process client).
+  // The slow reader ends up detached (connected=false) and all its requests
+  // accounted — completed or cancelled, never leaked.
   bool detached = false;
   for (int i = 0; i < 4000 && !detached; ++i) {
     const sv::SessionStats stats = good.stats();
-    const sv::ClientStats* slow = nullptr;
     for (const sv::ClientStats& row : stats.clients) {
-      if (row.client_id != 0 && (!slow || row.client_id < slow->client_id)) {
-        slow = &row;
-      }
-    }
-    if (slow && slow->requests > 0 && slow->requests <= n_requests &&
-        !slow->connected) {
-      detached = true;
+      // The slow tenant is the one holding the n_requests backlog; the good
+      // client's row never climbs past its own handful.
+      if (row.requests == n_requests && !row.connected) detached = true;
     }
     if (!detached) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
