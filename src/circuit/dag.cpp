@@ -46,6 +46,19 @@ void DependencyTracker::mark_executed(std::size_t gate_index) {
   --remaining_;
 }
 
+std::vector<std::size_t> DependencyTracker::ready_gates() const {
+  std::vector<std::size_t> ready;
+  for (std::int32_t q = 0; q < circuit_->n_qubits(); ++q) {
+    const auto head = next_gate(q);
+    if (!head) continue;
+    // A two-qubit gate heads both its qubits' queues; list it at the lower.
+    const Gate& g = circuit_->gate(*head);
+    if (g.is_two_qubit() && std::min(g.q[0], g.q[1]) != q) continue;
+    if (is_ready(*head)) ready.push_back(*head);
+  }
+  return ready;
+}
+
 std::vector<std::vector<std::size_t>> asap_layers(const Circuit& circuit) {
   std::vector<std::size_t> level(static_cast<std::size_t>(circuit.n_qubits()),
                                  0);

@@ -26,6 +26,10 @@ class DependencyTracker {
   /// Precondition: is_ready(gate_index).
   void mark_executed(std::size_t gate_index);
 
+  /// Every ready gate, by ascending lowest qubit: one scan over the qubits'
+  /// queue heads, each ready gate listed once.
+  [[nodiscard]] std::vector<std::size_t> ready_gates() const;
+
   [[nodiscard]] std::size_t remaining() const noexcept { return remaining_; }
   [[nodiscard]] bool done() const noexcept { return remaining_ == 0; }
 
