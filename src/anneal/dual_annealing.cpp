@@ -71,11 +71,13 @@ double log_gamma(double x) {
   return ::lgamma_r(x, &sign);
 }
 
-/// Draws a step from the Tsallis visiting distribution at temperature
-/// `temperature` with shape `qv`. Implementation follows the standard GSA
-/// formulation (Tsallis & Stariolo, 1996): a ratio of a Gaussian to a
-/// power of another Gaussian's magnitude produces the heavy-tailed visit.
-double visit_step(util::Rng& rng, double qv, double temperature) {
+/// Scale of the Tsallis visiting distribution at temperature `temperature`
+/// with shape `qv`, following the standard GSA formulation (Tsallis &
+/// Stariolo, 1996). It depends only on (qv, temperature), so the
+/// full-vector walk computes it once per iteration rather than once per
+/// coordinate; the operation order is the walk's, fixed for bit-stable
+/// placements.
+double visit_sigma(double qv, double temperature) {
   const double factor1 = std::exp(std::log(temperature) / (qv - 1.0));
   const double factor2 = std::exp((4.0 - qv) * std::log(qv - 1.0));
   const double factor3 =
@@ -88,9 +90,12 @@ double visit_step(util::Rng& rng, double qv, double temperature) {
   const double factor6 = std::numbers::pi * (1.0 - factor5) /
                          std::sin(std::numbers::pi * (1.0 - factor5)) /
                          std::exp(log_gamma(d1));
-  const double sigma_x =
-      std::exp(-(qv - 1.0) * std::log(factor6 / factor4) / (3.0 - qv));
+  return std::exp(-(qv - 1.0) * std::log(factor6 / factor4) / (3.0 - qv));
+}
 
+/// Draws one heavy-tailed step at scale `sigma_x` (from visit_sigma): a
+/// ratio of a Gaussian to a power of another Gaussian's magnitude.
+double visit_step(util::Rng& rng, double qv, double sigma_x) {
   const double x = sigma_x * rng.normal();
   const double y = rng.normal();
   const double den =
@@ -122,7 +127,9 @@ struct VisitConstants {
     tail_exponent = (qv - 1.0) / (3.0 - qv);
   }
 
-  /// sigma_x at this temperature (legacy visit_step's value, reassembled).
+  /// sigma_x at this temperature. The same quantity as visit_sigma, but
+  /// assembled in a different operation order, so its bits differ: the
+  /// single-coordinate walks use this one, the full-vector walk never does.
   [[nodiscard]] double sigma(double qv, double temperature) const {
     const double factor1 = std::exp(std::log(temperature) / (qv - 1.0));
     return std::exp(-(qv - 1.0) *
@@ -218,6 +225,7 @@ AnnealResult dual_annealing(const Objective& f,
   const double t_coeff = std::pow(2.0, qv - 1.0) - 1.0;
 
   int accepted_since_local = 0;
+  std::vector<double> candidate(n);
   int k = 0;
   for (int iter = 0; iter < options.max_iterations; ++iter, ++k) {
     double temperature =
@@ -227,12 +235,13 @@ AnnealResult dual_annealing(const Objective& f,
       temperature = t0;
       ++best.restarts;
     }
+    const double sigma = visit_sigma(qv, temperature);
 
     // Propose: perturb every dimension with a heavy-tailed visit.
-    std::vector<double> candidate = current;
+    candidate = current;
     for (std::size_t i = 0; i < n; ++i) {
       const double span = upper[i] - lower[i];
-      double step = visit_step(rng, qv, temperature);
+      double step = visit_step(rng, qv, sigma);
       // Scale the raw step to the box size; clamp pathological tails.
       step = std::clamp(step, -1e8, 1e8);
       candidate[i] += step * span * 1e-2;
@@ -256,7 +265,7 @@ AnnealResult dual_annealing(const Objective& f,
     }
 
     if (accept) {
-      current = candidate;
+      current.swap(candidate);
       current_value = candidate_value;
       ++accepted_since_local;
       if (current_value < best.value) {

@@ -60,6 +60,10 @@ struct PassTiming {
   /// Render emphasis (e.g. the winning portfolio entrant's row); purely
   /// presentational.
   bool highlight = false;
+  /// Time spent blocked on work another cell did (e.g. a sibling's
+  /// in-flight anneal behind the sweep's placement memo). Not part of
+  /// `seconds`, which counts only this cell's own work.
+  double wait_seconds = 0.0;
 };
 
 struct CompileResult {

@@ -276,17 +276,24 @@ Artifact make_table04() {
     // volatile_text (stderr) instead of the canonical rendered document.
     // "(c)" marks a stage whose product came from a cache — the in-sweep
     // placement memo or the persistent session cache (a whole row of (c) is
-    // a warm result-cache hit that ran no pass at all).
+    // a warm result-cache hit that ran no pass at all). "(w ...)" is time a
+    // stage spent blocked on a sibling cell's work; it is not in the total.
     const auto& first_timings =
         suite.at(circuits.front(), "parallax", quera.name).result.pass_timings;
     std::vector<std::string> headers = {"Bench"};
     for (const auto& timing : first_timings) headers.push_back(timing.pass);
     headers.push_back("total");
     util::Table timing_table(headers);
-    const auto format_pass = [](double seconds, bool cached, bool highlight) {
-      char buffer[48];
-      std::snprintf(buffer, sizeof(buffer), "%.1fms%s%s", seconds * 1e3,
-                    cached ? " (c)" : "", highlight ? " *" : "");
+    const auto format_pass = [](double seconds, bool cached, bool highlight,
+                                double wait_seconds) {
+      char buffer[80];
+      const int used = std::snprintf(buffer, sizeof(buffer), "%.1fms%s%s",
+                               seconds * 1e3, cached ? " (c)" : "",
+                               highlight ? " *" : "");
+      if (wait_seconds > 0.0) {
+        std::snprintf(buffer + used, sizeof(buffer) - used, " (w %.1fms)",
+                      wait_seconds * 1e3);
+      }
       return std::string(buffer);
     };
     for (const auto& name : circuits) {
@@ -294,19 +301,19 @@ Artifact make_table04() {
       std::vector<std::string> row = {name};
       double total = 0.0;
       for (const auto& timing : cell.result.pass_timings) {
-        row.push_back(
-            format_pass(timing.seconds, timing.cached, timing.highlight));
+        row.push_back(format_pass(timing.seconds, timing.cached,
+                                  timing.highlight, timing.wait_seconds));
         // Portfolio entrant rows ("anneal[...]") are constituents of the
         // anneal total, not additional wall time.
         if (timing.pass.rfind("anneal[", 0) != 0) total += timing.seconds;
       }
-      row.push_back(format_pass(total, cell.from_cache, false));
+      row.push_back(format_pass(total, cell.from_cache, false, 0.0));
       timing_table.add_row(row);
     }
     rendered.volatile_text = "Parallax per-pass compile time on " +
                              quera.name +
                              " ((c) = cache hit, * = winning portfolio "
-                             "entrant):\n" +
+                             "entrant, (w) = wait on a sibling cell):\n" +
                              timing_table.to_string();
     return rendered;
   };

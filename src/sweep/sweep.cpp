@@ -100,11 +100,12 @@ std::string transpile_key(std::size_t circuit_index,
 /// a near-zero passthrough and its raw timing would misreport the stage.
 void attribute_stage_timing(compiler::CompileResult& result,
                             std::string_view pass_name, double seconds,
-                            bool cached) {
+                            bool cached, double wait_seconds = 0.0) {
   for (auto& timing : result.pass_timings) {
     if (timing.pass == pass_name) {
       timing.seconds = seconds;
       timing.cached = cached;
+      timing.wait_seconds = wait_seconds;
       return;
     }
   }
@@ -294,7 +295,9 @@ Result run(const std::vector<CircuitSpec>& circuits,
       const bool fits = input->n_qubits() <= machine.config.n_atoms();
       bool placement_injected = false;
       bool placement_annealed_here = false;
+      bool placement_memo_hit = true;  // cleared when this cell computes it
       double placement_seconds = 0.0;
+      double placement_wait_seconds = 0.0;
       double placement_anneal_seconds = 0.0;
       if (options.share_placements && fits && !opts.preset_topology &&
           pl.contains("graphine-placement")) {
@@ -315,6 +318,7 @@ Result run(const std::vector<CircuitSpec>& circuits,
               // The in-run memo missed: consult the persistent disk tier
               // before paying for an anneal, and persist fresh anneals so
               // no future run repeats them.
+              placement_memo_hit = false;
               placement::PlacementStats stats;
               cache::Digest128 key;
               if (persistent != nullptr) {
@@ -372,7 +376,13 @@ Result run(const std::vector<CircuitSpec>& circuits,
             },
             &sweep_result.placement_cache_hits,
             &sweep_result.placement_cache_misses);
-        placement_seconds = placement_watch.seconds();
+        // A memo hit did no placement work: its time was spent blocked on
+        // (or copying) the placement a sibling cell computed.
+        if (placement_memo_hit) {
+          placement_wait_seconds = placement_watch.seconds();
+        } else {
+          placement_seconds = placement_watch.seconds();
+        }
         placement_injected = true;
       }
 
@@ -386,7 +396,8 @@ Result run(const std::vector<CircuitSpec>& circuits,
       }
       if (placement_injected) {
         attribute_stage_timing(cell.result, "graphine-placement",
-                               placement_seconds, !placement_annealed_here);
+                               placement_seconds, !placement_annealed_here,
+                               placement_wait_seconds);
         attribute_stage_timing(cell.result, "anneal", placement_anneal_seconds,
                                !placement_annealed_here);
       }

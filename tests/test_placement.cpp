@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "circuit/circuit.hpp"
 #include "circuit/interaction_graph.hpp"
@@ -297,6 +299,143 @@ TEST(DeltaObjective, AgreesWithLegacyObjectiveNumerically) {
     EXPECT_NEAR(delta_value, legacy_value,
                 1e-9 * std::max(1.0, std::abs(legacy_value)));
   }
+}
+
+namespace {
+
+/// The plain O(n^2) pair loop the grid-filtered objective must reproduce bit
+/// for bit: edge terms in graph order, then every pair (i < j) in ascending
+/// order.
+double brute_force_objective(const std::vector<double>& coords,
+                             const pc::InteractionGraph& graph,
+                             const pp::GraphineOptions& options) {
+  const auto n = static_cast<std::size_t>(graph.n_qubits());
+  auto point = [&](std::size_t q) {
+    return pg::Point{coords[2 * q], coords[2 * q + 1]};
+  };
+  double cost = 0.0;
+  for (const auto& e : graph.edges()) {
+    cost += static_cast<double>(e.weight) *
+            pg::distance(point(static_cast<std::size_t>(e.a)),
+                         point(static_cast<std::size_t>(e.b)));
+  }
+  if (n > 1) {
+    const double d_min =
+        options.crowding_distance / std::sqrt(static_cast<double>(n));
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        const double d = pg::distance(point(i), point(j));
+        if (d < d_min) {
+          const double v = d_min - d;
+          cost += options.crowding_weight * v * v / (d_min * d_min);
+        }
+      }
+    }
+  }
+  return cost;
+}
+
+enum class Layout { kUniform, kClustered, kDuplicates, kCellEdges, kOutside };
+
+std::vector<double> fuzz_layout(parallax::util::Rng& rng, std::size_t n,
+                                Layout layout, double d_min) {
+  std::vector<double> coords(2 * n);
+  switch (layout) {
+    case Layout::kUniform:
+      for (double& c : coords) c = rng.next_double();
+      break;
+    case Layout::kClustered: {
+      // Three tight clusters: most pairs inside a cluster pay a penalty.
+      const double centers[3][2] = {{0.2, 0.3}, {0.7, 0.7}, {0.5, 0.05}};
+      for (std::size_t q = 0; q < n; ++q) {
+        const auto* center = centers[rng.uniform_int(0, 2)];
+        coords[2 * q] = center[0] + rng.uniform(-0.03, 0.03);
+        coords[2 * q + 1] = center[1] + rng.uniform(-0.03, 0.03);
+      }
+      break;
+    }
+    case Layout::kDuplicates: {
+      // Few distinct points, each shared by several qubits (distance 0).
+      const std::size_t distinct = std::max<std::size_t>(1, n / 4);
+      std::vector<double> pool(2 * distinct);
+      for (double& c : pool) c = rng.next_double();
+      for (std::size_t q = 0; q < n; ++q) {
+        const auto k = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(distinct) - 1));
+        coords[2 * q] = pool[2 * k];
+        coords[2 * q + 1] = pool[2 * k + 1];
+      }
+      break;
+    }
+    case Layout::kCellEdges: {
+      // Points exactly on the lines k/m for grid sides m around the
+      // 1/d_min scale, some nudged by d_min across a line.
+      const double scale = d_min > 0.0 ? std::min(1.0 / d_min, 4096.0) : 16.0;
+      for (std::size_t q = 0; q < n; ++q) {
+        for (int axis = 0; axis < 2; ++axis) {
+          const auto m = static_cast<std::int64_t>(std::max(
+              1.0, std::floor(scale) + static_cast<double>(
+                                           rng.uniform_int(-3, 1))));
+          double v = static_cast<double>(rng.uniform_int(0, m)) /
+                     static_cast<double>(m);
+          if (rng.uniform_int(0, 3) == 0) v += rng.uniform(-d_min, d_min);
+          coords[2 * q + static_cast<std::size_t>(axis)] = v;
+        }
+      }
+      break;
+    }
+    case Layout::kOutside:
+      // Out-of-square coordinates, near the square and far from it.
+      for (double& c : coords) {
+        c = rng.uniform_int(0, 7) == 0 ? rng.uniform(-1e3, 1e3)
+                                       : rng.uniform(-0.5, 1.5);
+      }
+      break;
+  }
+  return coords;
+}
+
+}  // namespace
+
+TEST(Graphine, ObjectiveIsBitEqualToBruteForcePairLoop) {
+  const Layout layouts[] = {Layout::kUniform, Layout::kClustered,
+                            Layout::kDuplicates, Layout::kCellEdges,
+                            Layout::kOutside};
+  struct Crowding {
+    double distance;
+    double weight;
+  };
+  // 5 makes d_min wider than half the square: the grid is one cell.
+  const Crowding crowdings[] = {{0.0, 10.0}, {0.5, 10.0}, {5.0, 10.0},
+                                {0.5, 0.0}};
+  parallax::util::Rng rng(0xC0FFEE);
+  int compared = 0;
+  for (const std::int32_t n : {2, 3, 10, 64, 128, 256}) {
+    const pc::InteractionGraph graph(
+        random_circuit(static_cast<std::uint64_t>(n), n, 2 * n));
+    for (const Crowding& crowding : crowdings) {
+      pp::GraphineOptions options;
+      options.crowding_distance = crowding.distance;
+      options.crowding_weight = crowding.weight;
+      const double d_min =
+          crowding.distance / std::sqrt(static_cast<double>(n));
+      for (const Layout layout : layouts) {
+        for (int trial = 0; trial < 3; ++trial) {
+          const auto coords = fuzz_layout(
+              rng, static_cast<std::size_t>(n), layout, d_min);
+          const double grid = pp::placement_objective(coords, graph, options);
+          const double brute = brute_force_objective(coords, graph, options);
+          ASSERT_EQ(std::memcmp(&grid, &brute, sizeof(double)), 0)
+              << "n=" << n << " crowding=" << crowding.distance
+              << " weight=" << crowding.weight
+              << " layout=" << static_cast<int>(layout) << " trial=" << trial
+              << ": " << grid << " vs " << brute;
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 6 * 4 * 5 * 3);
 }
 
 TEST(DeltaObjective, SingleQubitGraphHasNoCrowding) {

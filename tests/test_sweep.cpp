@@ -136,6 +136,37 @@ TEST(Sweep, PlacementMemoizedAcrossTechniquesAndMachines) {
   EXPECT_EQ(swept.placement_cache_hits, 3 * circuits.size());
 }
 
+TEST(Sweep, PlacementMemoHitReportsWaitNotWork) {
+  // parallax and graphine share one placement: the cell that annealed books
+  // the placement as work; the other only waited on (or copied) it, so its
+  // row carries 0 work seconds and the blocked time as wait.
+  const auto config = ph::HardwareConfig::quera_aquila_256();
+  auto options = fast_sweep_options();
+  options.n_threads = 2;
+  const auto swept = sw::run({{"ghz8", ghz(8, "ghz8")}},
+                             {"parallax", "graphine"},
+                             {{config.name, config}}, options);
+  int annealed = 0;
+  int waited = 0;
+  for (const auto& cell : swept.cells) {
+    ASSERT_TRUE(cell.ok()) << cell.error;
+    for (const auto& timing : cell.result.pass_timings) {
+      if (timing.pass != "graphine-placement") continue;
+      if (timing.cached) {
+        ++waited;
+        EXPECT_EQ(timing.seconds, 0.0) << cell.technique;
+        EXPECT_GE(timing.wait_seconds, 0.0) << cell.technique;
+      } else {
+        ++annealed;
+        EXPECT_GT(timing.seconds, 0.0) << cell.technique;
+        EXPECT_EQ(timing.wait_seconds, 0.0) << cell.technique;
+      }
+    }
+  }
+  EXPECT_EQ(annealed, 1);
+  EXPECT_EQ(waited, 1);
+}
+
 TEST(Sweep, MemoKeysOnCustomizedPlacementOptions) {
   // A customize hook that gives one technique different placement options
   // must not be served another technique's memoized placement.
