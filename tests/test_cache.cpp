@@ -181,6 +181,31 @@ TEST(Fingerprint, ResultKeySeparatesDerivedOutputs) {
                                   {"transpile"}, config, options));
 }
 
+TEST(Fingerprint, DistinctGraphineOptionsNeverShareAKey) {
+  // Placement options that anneal different layouts must key apart. Feeding
+  // some fields only when non-default, as bare i32s, once let one option
+  // set's bytes spell another's: a 4-qubit window cap hashed like a
+  // 4-entrant portfolio, so a windowed placement was served to a race cell.
+  const auto circuit_fp = pc::fingerprint(ghz(8, "ghz8"));
+  ppl::GraphineOptions window4;
+  window4.max_window_qubits = 4;
+  ppl::GraphineOptions portfolio4;
+  portfolio4.portfolio_entrants = 4;
+  ppl::GraphineOptions batched_one_chain;
+  batched_one_chain.proposal = ppl::ProposalMode::kBatched;
+  batched_one_chain.chains = 1;
+  ppl::GraphineOptions window2_portfolio1;
+  window2_portfolio1.max_window_qubits = 2;
+  window2_portfolio1.portfolio_entrants = 1;
+  const std::pair<ppl::GraphineOptions, ppl::GraphineOptions> pairs[] = {
+      {window4, portfolio4}, {batched_one_chain, window2_portfolio1}};
+  for (const auto& [a, b] : pairs) {
+    EXPECT_NE(pc::fingerprint(a), pc::fingerprint(b));
+    EXPECT_NE(pc::placement_key(circuit_fp, a),
+              pc::placement_key(circuit_fp, b));
+  }
+}
+
 // --- cache/serialize ----------------------------------------------------------
 
 TEST(Serialize, TopologyRoundTripIsExact) {

@@ -2,10 +2,16 @@
 // the pipeline refactor), parity with sequential single-circuit compilation,
 // placement memoization accounting, error isolation, and shot planning.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "bench_circuits/registry.hpp"
+#include "cache/cache.hpp"
 #include "circuit/circuit.hpp"
 #include "hardware/config.hpp"
+#include "shard/shard.hpp"
 #include "sweep/sweep.hpp"
 #include "technique/registry.hpp"
 
@@ -230,6 +236,43 @@ TEST(Sweep, PlacementMemoKeysOnEffectiveInputCircuit) {
         << cell.circuit << "/" << cell.technique;
     EXPECT_EQ(cell.result.stats.layers, direct.stats.layers);
   }
+}
+
+TEST(Sweep, PersistentCacheNeverServesAnotherTechniquesPlacement) {
+  // parallax-fast with a 4-qubit window cap and parallax-race (4 portfolio
+  // entrants) anneal different placements of the same circuit. A cache the
+  // windowed run filled must not hand its placement to the race: the race
+  // cell has to equal a cacheless race cell, with no placement disk hit.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("parallax_sweep_race_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  const auto config = ph::HardwareConfig::quera_aquila_256();
+  const std::vector<sw::CircuitSpec> circuits =
+      sw::benchmark_circuits({"QV"}, {});
+  const std::vector<sw::MachineSpec> machines = {{config.name, config}};
+
+  sw::Options windowed;
+  windowed.compile.placement.max_window_qubits = 4;
+  windowed.cache =
+      parallax::cache::CompilationCache::open({.directory = dir.string()});
+  const auto filled = sw::run(circuits, {"parallax-fast"}, machines, windowed);
+  ASSERT_TRUE(filled.cells.at(0).ok()) << filled.cells.at(0).error;
+
+  sw::Options cached;
+  cached.cache =
+      parallax::cache::CompilationCache::open({.directory = dir.string()});
+  const auto through_cache =
+      sw::run(circuits, {"parallax-race"}, machines, cached);
+  const auto without_cache =
+      sw::run(circuits, {"parallax-race"}, machines, sw::Options{});
+  ASSERT_TRUE(without_cache.cells.at(0).ok()) << without_cache.cells.at(0).error;
+  EXPECT_EQ(through_cache.placement_disk_hits, 0u);
+  // Compared as a bool: a mismatch would otherwise print kilobytes of bytes.
+  EXPECT_TRUE(parallax::shard::canonical_bytes(through_cache) ==
+              parallax::shard::canonical_bytes(without_cache))
+      << "the race cell differs from its cacheless compilation";
+  fs::remove_all(dir);
 }
 
 TEST(Sweep, AtRequiresMachineLabelOnMultiMachineSweep) {
