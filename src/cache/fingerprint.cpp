@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "cache/fields.hpp"
 #include "cache/serialize.hpp"
 
 namespace parallax::cache {
@@ -38,8 +39,9 @@ void Fingerprinter::digest(const Digest128& d) noexcept {
 
 namespace {
 
-// feed_* appends a component's canonical bytes to an ongoing fingerprint, so
-// composite keys hash one flat byte stream instead of nesting digests.
+// feed appends a content type's canonical bytes to an ongoing fingerprint,
+// and write_fields (cache/fields.hpp) an options struct's, so composite keys
+// hash one flat byte stream instead of nesting digests.
 
 // Circuits and topologies already have one canonical byte layout — the
 // serialization codec. Hashing those exact bytes (length-prefixed, so the
@@ -53,58 +55,6 @@ void feed(Fingerprinter& fp, const circuit::Circuit& circuit) {
   fp.str(writer.bytes());
 }
 
-void feed(Fingerprinter& fp, const hardware::HardwareConfig& config) {
-  fp.i32(config.grid_side);
-  fp.f64(config.min_separation_um);
-  fp.f64(config.discretization_padding_um);
-  fp.i32(config.aod_rows);
-  fp.i32(config.aod_cols);
-  fp.f64(config.u3_time_us);
-  fp.f64(config.cz_time_us);
-  fp.f64(config.swap_time_us);
-  fp.f64(config.trap_switch_time_us);
-  fp.f64(config.aod_speed_um_per_us);
-  fp.f64(config.u3_error);
-  fp.f64(config.cz_error);
-  fp.f64(config.swap_error);
-  fp.f64(config.trap_switch_error);
-  fp.f64(config.movement_loss);
-  fp.f64(config.atom_loss_rate);
-  fp.f64(config.readout_error);
-  fp.f64(config.t1_seconds);
-  fp.f64(config.t2_seconds);
-}
-
-void feed(Fingerprinter& fp, const placement::GraphineOptions& options) {
-  fp.i32(options.anneal_iterations);
-  fp.i32(options.local_search_evaluations);
-  fp.f64(options.crowding_distance);
-  fp.f64(options.crowding_weight);
-  fp.boolean(options.warm_start);
-  fp.u64(options.seed);
-  // Annealer-mode fields are fed only when non-default: legacy
-  // (full-vector, single-chain) options hash to exactly their pre-PR-6
-  // bytes, so every placement and result cached before delta scoring
-  // existed still replays. Non-default modes produce different layouts and
-  // must key differently.
-  if (options.proposal != placement::ProposalMode::kFullVector ||
-      options.chains != 1) {
-    fp.i32(static_cast<std::int32_t>(options.proposal));
-    fp.i32(options.chains);
-  }
-  // Same deal for windowing: callers normalize max_window_qubits to 0 when
-  // the circuit fits in one window, so the field is hashed only when the
-  // windowed path actually changes the layout.
-  if (options.max_window_qubits != 0) {
-    fp.i32(options.max_window_qubits);
-  }
-  // And for the raced portfolio: 0 (no race) is the default for every
-  // pre-portfolio key.
-  if (options.portfolio_entrants != 0) {
-    fp.i32(options.portfolio_entrants);
-  }
-}
-
 void feed(Fingerprinter& fp, const circuit::InteractionGraph& graph) {
   fp.i32(graph.n_qubits());
   fp.u64(graph.edges().size());
@@ -116,67 +66,7 @@ void feed(Fingerprinter& fp, const circuit::InteractionGraph& graph) {
 }
 
 void feed(Fingerprinter& fp, const placement::Topology& topology) {
-  Writer writer;
-  encode(writer, topology);
-  fp.str(writer.bytes());
-}
-
-void feed(Fingerprinter& fp, const circuit::TranspileOptions& options) {
-  fp.boolean(options.fuse_single_qubit);
-  fp.boolean(options.cancel_cz_pairs);
-  fp.boolean(options.drop_identities);
-  fp.f64(options.identity_tolerance);
-  fp.i32(options.max_iterations);
-}
-
-void feed(Fingerprinter& fp, const placement::DiscretizeOptions& options) {
-  fp.f64(options.spread_factor);
-}
-
-void feed(Fingerprinter& fp, const compiler::SchedulerOptions& options) {
-  fp.boolean(options.return_home);
-  fp.i32(options.max_move_iterations);
-  fp.u64(options.shuffle_seed);
-  fp.boolean(options.record_positions);
-}
-
-void feed(Fingerprinter& fp, const compiler::AodSelectionOptions& options) {
-  fp.f64(options.out_of_range_weight);
-  fp.f64(options.interference_weight);
-}
-
-void feed(Fingerprinter& fp, const pipeline::CompileOptions& options) {
-  feed(fp, options.transpile);
-  feed(fp, options.placement);
-  feed(fp, options.discretize);
-  feed(fp, options.scheduler);
-  feed(fp, options.aod_selection);
-  fp.boolean(options.assume_transpiled);
-  fp.boolean(options.preset_topology.has_value());
-  if (options.preset_topology) feed(fp, *options.preset_topology);
-  fp.u64(options.seed);
-  // Fidelity fields are fed only when non-default, like the annealer-mode
-  // fields above: closed-form defaults hash to exactly their pre-sim bytes,
-  // so every result cached before the simulator existed still replays.
-  if (!options.fidelity.is_default()) {
-    fp.u8(static_cast<std::uint8_t>(options.fidelity.model));
-    fp.i64(options.fidelity.shots);
-    fp.f64(options.fidelity.moving_decoherence_scale);
-  }
-}
-
-void feed(Fingerprinter& fp, const noise::NoiseOptions& options) {
-  fp.boolean(options.include_gate_errors);
-  fp.boolean(options.include_decoherence);
-  fp.boolean(options.include_operation_overheads);
-  fp.boolean(options.include_readout);
-  fp.boolean(options.include_atom_loss);
-  fp.boolean(options.per_qubit_decoherence);
-}
-
-void feed(Fingerprinter& fp, const shots::ShotOptions& options) {
-  fp.i64(options.logical_shots);
-  fp.f64(options.inter_shot_overhead_us);
+  fp.str(serialize_topology(topology));
 }
 
 /// Domain tags keep key spaces disjoint: a placement key can never equal a
@@ -278,13 +168,13 @@ Digest128 fingerprint(const circuit::Circuit& circuit) {
 
 Digest128 fingerprint(const hardware::HardwareConfig& config) {
   Fingerprinter fp = begin(Domain::kHardware);
-  feed(fp, config);
+  write_fields(fp, config);
   return fp.finish();
 }
 
 Digest128 fingerprint(const placement::GraphineOptions& options) {
   Fingerprinter fp = begin(Domain::kGraphineOptions);
-  feed(fp, options);
+  write_fields(fp, options);
   return fp.finish();
 }
 
@@ -302,7 +192,7 @@ Digest128 fingerprint(const circuit::InteractionGraph& graph) {
 
 Digest128 fingerprint(const pipeline::CompileOptions& options) {
   Fingerprinter fp = begin(Domain::kCompileOptions);
-  feed(fp, options);
+  write_fields(fp, options);
   return fp.finish();
 }
 
@@ -310,7 +200,7 @@ Digest128 placement_key(const Digest128& circuit_fingerprint,
                         const placement::GraphineOptions& options) {
   Fingerprinter fp = begin(Domain::kPlacementKey);
   fp.digest(circuit_fingerprint);
-  feed(fp, options);
+  write_fields(fp, options);
   return fp.finish();
 }
 
@@ -328,12 +218,12 @@ Digest128 result_key(const Digest128& circuit_fingerprint,
   // a different pipeline, which must not hit the old entries.
   fp.u64(pass_names.size());
   for (const auto& name : pass_names) fp.str(name);
-  feed(fp, config);
-  feed(fp, options);
+  write_fields(fp, config);
+  write_fields(fp, options);
   fp.boolean(noise != nullptr);
-  if (noise != nullptr) feed(fp, *noise);
+  if (noise != nullptr) write_fields(fp, *noise);
   fp.boolean(shots != nullptr);
-  if (shots != nullptr) feed(fp, *shots);
+  if (shots != nullptr) write_fields(fp, *shots);
   return fp.finish();
 }
 

@@ -7,9 +7,11 @@
 // field that can change a compile result is included, and nothing else
 // (labels like HardwareConfig::name are deliberately excluded).
 //
-// kFingerprintSchema seeds every digest, so widening a fingerprint (adding a
-// field) or changing the serialization bumps one constant and all stale
-// entries become silent misses instead of wrong hits.
+// Options structs are fed through their one field list (cache/fields.hpp),
+// every field every time, so a new field changes every key that covers its
+// struct; bumping kPayloadVersion (store.hpp) then retires the old entries.
+// kFingerprintSchema seeds every digest, the circuit and topology digests
+// included; bump it only when a content encoding changes.
 #pragma once
 
 #include <cstdint>
@@ -35,13 +37,14 @@ namespace parallax::cache {
 
 using util::Digest128;
 
-/// Bump when any fingerprint gains/loses a field or changes encoding; old
-/// cache entries then miss by key instead of decoding garbage.
+/// Bump when a content encoding changes; old cache entries then miss by key
+/// instead of decoding garbage.
 inline constexpr std::uint64_t kFingerprintSchema = 1;
 
 /// Canonical byte feeder: typed values in, hash state forward. All integer
 /// widths are fixed and little-endian; strings are length-prefixed so
-/// ("ab","c") never collides with ("a","bc").
+/// ("ab","c") never collides with ("a","bc"). Same method set as
+/// cache::Writer, so one field writer (cache/fields.hpp) feeds both.
 class Fingerprinter {
  public:
   Fingerprinter() noexcept : hash_(kFingerprintSchema) {}

@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "cache/fields.hpp"
+
 namespace parallax::cache {
 
 void Writer::u32(std::uint32_t v) {
@@ -219,34 +221,6 @@ compiler::Layer decode_layer(Reader& reader) {
   return layer;
 }
 
-void encode_stats(Writer& writer, const compiler::CompileStats& stats) {
-  writer.u64(stats.u3_gates);
-  writer.u64(stats.cz_gates);
-  writer.u64(stats.swap_gates);
-  writer.u64(stats.layers);
-  writer.u64(stats.aod_moves);
-  writer.u64(stats.trap_changes);
-  writer.u64(stats.out_of_range_cz);
-  writer.u64(stats.slm_slm_cz);
-  writer.f64(stats.max_move_distance_um);
-  writer.f64(stats.total_move_distance_um);
-}
-
-compiler::CompileStats decode_stats(Reader& reader) {
-  compiler::CompileStats stats;
-  stats.u3_gates = static_cast<std::size_t>(reader.u64());
-  stats.cz_gates = static_cast<std::size_t>(reader.u64());
-  stats.swap_gates = static_cast<std::size_t>(reader.u64());
-  stats.layers = static_cast<std::size_t>(reader.u64());
-  stats.aod_moves = static_cast<std::size_t>(reader.u64());
-  stats.trap_changes = static_cast<std::size_t>(reader.u64());
-  stats.out_of_range_cz = static_cast<std::size_t>(reader.u64());
-  stats.slm_slm_cz = static_cast<std::size_t>(reader.u64());
-  stats.max_move_distance_um = reader.f64();
-  stats.total_move_distance_um = reader.f64();
-  return stats;
-}
-
 }  // namespace
 
 void encode(Writer& writer, const compiler::CompileResult& result) {
@@ -259,7 +233,7 @@ void encode(Writer& writer, const compiler::CompileResult& result) {
   for (const std::int8_t flag : result.in_aod) {
     writer.u8(static_cast<std::uint8_t>(flag));
   }
-  encode_stats(writer, result.stats);
+  write_fields(writer, result.stats);
   writer.f64(result.runtime_us);
   // pass_timings intentionally omitted — see the header contract.
 }
@@ -279,7 +253,7 @@ compiler::CompileResult decode_result(Reader& reader) {
   for (std::size_t i = 0; i < n_aod; ++i) {
     result.in_aod.push_back(static_cast<std::int8_t>(reader.u8()));
   }
-  result.stats = decode_stats(reader);
+  read_fields(reader, result.stats);
   result.runtime_us = reader.f64();
   return result;
 }
@@ -290,12 +264,7 @@ void encode(Writer& writer, const CachedCell& cell) {
   writer.f64(cell.success_probability);
   writer.boolean(cell.has_shot_plans);
   writer.u64(cell.shot_plans.size());
-  for (const auto& plan : cell.shot_plans) {
-    writer.i32(plan.copies_per_dim);
-    writer.i32(plan.copies);
-    writer.i64(plan.physical_shots);
-    writer.f64(plan.total_execution_time_us);
-  }
+  for (const auto& plan : cell.shot_plans) write_fields(writer, plan);
 }
 
 CachedCell decode_cell(Reader& reader) {
@@ -304,16 +273,8 @@ CachedCell decode_cell(Reader& reader) {
   cell.has_success_probability = reader.boolean();
   cell.success_probability = reader.f64();
   cell.has_shot_plans = reader.boolean();
-  const std::size_t n_plans = reader.length(24);
-  cell.shot_plans.reserve(n_plans);
-  for (std::size_t i = 0; i < n_plans; ++i) {
-    shots::ParallelPlan plan;
-    plan.copies_per_dim = reader.i32();
-    plan.copies = reader.i32();
-    plan.physical_shots = reader.i64();
-    plan.total_execution_time_us = reader.f64();
-    cell.shot_plans.push_back(plan);
-  }
+  cell.shot_plans.resize(reader.length(24));
+  for (auto& plan : cell.shot_plans) read_fields(reader, plan);
   return cell;
 }
 

@@ -7,7 +7,7 @@
 #include <sstream>
 #include <system_error>
 
-#include "cache/serialize.hpp"
+#include "cache/envelope.hpp"
 #include "util/parse.hpp"
 
 namespace parallax::cache {
@@ -16,36 +16,17 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::uint64_t kMagic = 0x3145484341435850ULL;  // "PXCACHE1" LE
-constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8;
-
-std::string encode_header(Kind kind, const std::string& payload) {
-  Writer writer;
-  writer.u64(kMagic);
-  writer.u32(kPayloadVersion);
-  writer.u32(static_cast<std::uint32_t>(kind));
-  writer.u64(payload.size());
-  writer.u64(util::checksum64(payload.data(), payload.size()));
-  return writer.take();
-}
+constexpr Envelope kEntryEnvelope(0x3145484341435850ULL,  // "PXCACHE1"
+                                  kPayloadVersion, "cache entry");
+constexpr std::size_t kHeaderBytes = kEnvelopeHeaderBytes;
 
 /// Validates a whole entry file; returns the payload or nullopt.
-std::optional<std::string> validate_entry(Kind kind, std::string contents) {
-  if (contents.size() < kHeaderBytes) return std::nullopt;
-  Reader reader(contents);
+std::optional<std::string> validate_entry(Kind kind,
+                                          std::string_view contents) {
   try {
-    if (reader.u64() != kMagic) return std::nullopt;
-    if (reader.u32() != kPayloadVersion) return std::nullopt;
-    if (reader.u32() != static_cast<std::uint32_t>(kind)) return std::nullopt;
-    const std::uint64_t size = reader.u64();
-    const std::uint64_t checksum = reader.u64();
-    if (size != contents.size() - kHeaderBytes) return std::nullopt;
-    std::string payload = contents.substr(kHeaderBytes);
-    if (util::checksum64(payload.data(), payload.size()) != checksum) {
-      return std::nullopt;
-    }
-    return payload;
-  } catch (const ReadError&) {
+    return std::string(
+        kEntryEnvelope.open(static_cast<std::uint32_t>(kind), contents));
+  } catch (const EnvelopeError&) {
     return std::nullopt;
   }
 }
@@ -290,13 +271,11 @@ std::vector<Store::IndexEntry> Store::scan_objects() const {
       std::ifstream in(it->path(), std::ios::binary);
       if (!in.read(header, kHeaderBytes)) continue;
     }
-    Reader reader(std::string_view(header, kHeaderBytes));
     try {
-      if (reader.u64() != kMagic) continue;
-      if (reader.u32() != kPayloadVersion) continue;
-      const auto kind = static_cast<Kind>(reader.u32());
-      found.push_back({*key, kind, reader.u64()});
-    } catch (const ReadError&) {
+      const EnvelopeHeader parsed =
+          kEntryEnvelope.read_header(std::string_view(header, kHeaderBytes));
+      found.push_back({*key, static_cast<Kind>(parsed.kind), parsed.size});
+    } catch (const EnvelopeError&) {
       continue;
     }
   }
@@ -333,7 +312,7 @@ Store::DiskRead Store::disk_read(Kind kind, const Digest128& key) {
   auto contents = read_file(path);
   if (!contents) return outcome;
   outcome.bytes_read = contents->size();
-  outcome.payload = validate_entry(kind, std::move(*contents));
+  outcome.payload = validate_entry(kind, *contents);
   if (!outcome.payload) {
     // Corrupt, truncated, stale-version, or wrong-kind entry: drop it so the
     // next run rewrites a good one.
@@ -358,9 +337,9 @@ Store::DiskWrite Store::disk_write(Kind kind, const Digest128& key,
   {
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
     if (!out) return outcome;  // unwritable cache dir: skip quietly
-    const std::string header = encode_header(kind, payload);
-    out.write(header.data(), static_cast<std::streamsize>(header.size()));
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+    const std::string entry =
+        kEntryEnvelope.seal(static_cast<std::uint32_t>(kind), payload);
+    out.write(entry.data(), static_cast<std::streamsize>(entry.size()));
     if (!out.good()) {
       out.close();
       remove_quietly(tmp_path);

@@ -7,11 +7,12 @@
 //   index.log                   one line per store: "<32-hex> <kind> <bytes>"
 //   tmp/                        staging for atomic writes
 //
-// Entry file format: a fixed header (magic, payload version, kind, payload
-// size, 64-bit payload checksum) followed by the payload. get() re-validates
-// everything; a truncated file, a flipped byte, a version from a newer or
-// older build, or a kind mismatch all degrade to a silent miss (and the bad
-// file is unlinked best-effort) — never an exception to the caller.
+// Entry file format: the cache/envelope.hpp header (magic, payload version,
+// kind, payload size, 64-bit payload checksum) followed by the payload.
+// get() re-validates everything; a truncated file, a flipped byte, a
+// version from a newer or older build, or a kind mismatch all degrade to a
+// silent miss (and the bad file is unlinked best-effort) — never an
+// exception to the caller.
 //
 // Concurrency: every operation is safe to call from the sweep driver's
 // worker threads. The LRU/stats bookkeeping sits behind one mutex held only
@@ -51,7 +52,9 @@ enum class Kind : std::uint32_t {
 /// Bump to retire every existing on-disk entry (serialization change).
 /// v2: Layer::aod_moves joined the layer codec (per-layer movement-loss
 /// accounting for the discrete-event simulator).
-inline constexpr std::uint32_t kPayloadVersion = 2;
+/// v3: option fingerprints feed every field unconditionally; entries keyed
+/// under the old, ambiguous option bytes must never be read again.
+inline constexpr std::uint32_t kPayloadVersion = 3;
 
 struct StoreOptions {
   /// On-disk root; empty disables the disk tier (memory-only cache).

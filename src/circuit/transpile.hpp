@@ -6,6 +6,7 @@
 #pragma once
 
 #include "circuit/circuit.hpp"
+#include "util/fields.hpp"
 
 namespace parallax::circuit {
 
@@ -22,6 +23,13 @@ struct TranspileOptions {
   /// Iterate passes until no pass changes the circuit.
   int max_iterations = 16;
 };
+
+/// The one field list of TranspileOptions (see util/fields.hpp).
+template <util::FieldsOf<TranspileOptions> Options, typename Visit>
+constexpr void for_each_field(Options&& o, Visit&& visit) {
+  visit(o.fuse_single_qubit, o.cancel_cz_pairs, o.drop_identities,
+        o.identity_tolerance, o.max_iterations);
+}
 
 /// Runs the pass pipeline and returns the optimized circuit. Barriers and
 /// measurements are preserved in place. SWAP gates (if present) are expanded

@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <string>
 
+#include "util/fields.hpp"
+
 namespace parallax::hardware {
 
 struct HardwareConfig {
@@ -68,5 +70,18 @@ struct HardwareConfig {
   /// results).
   [[nodiscard]] static HardwareConfig atom_computing_1225();
 };
+
+/// The one field list of HardwareConfig (see util/fields.hpp): every
+/// numeric and geometry field. The display `name` is deliberately left
+/// out — it never reaches a compile result, so renaming a machine keeps
+/// its cache keys.
+template <util::FieldsOf<HardwareConfig> Options, typename Visit>
+constexpr void for_each_field(Options&& o, Visit&& visit) {
+  visit(o.grid_side, o.min_separation_um, o.discretization_padding_um,
+        o.aod_rows, o.aod_cols, o.u3_time_us, o.cz_time_us, o.swap_time_us,
+        o.trap_switch_time_us, o.aod_speed_um_per_us, o.u3_error, o.cz_error,
+        o.swap_error, o.trap_switch_error, o.movement_loss, o.atom_loss_rate,
+        o.readout_error, o.t1_seconds, o.t2_seconds);
+}
 
 }  // namespace parallax::hardware

@@ -14,6 +14,7 @@
 
 #include "hardware/config.hpp"
 #include "parallax/result.hpp"
+#include "util/fields.hpp"
 
 namespace parallax::noise {
 
@@ -34,6 +35,14 @@ struct NoiseOptions {
   bool per_qubit_decoherence = false;
 };
 
+/// The one field list of NoiseOptions (see util/fields.hpp).
+template <util::FieldsOf<NoiseOptions> Options, typename Visit>
+constexpr void for_each_field(Options&& o, Visit&& visit) {
+  visit(o.include_gate_errors, o.include_decoherence,
+        o.include_operation_overheads, o.include_readout, o.include_atom_loss,
+        o.per_qubit_decoherence);
+}
+
 /// How a sweep cell's success probability is produced. The closed-form
 /// product above is the paper's metric and the default; the simulated
 /// estimator replays the schedule through the discrete-event simulator
@@ -44,10 +53,7 @@ enum class FidelityModel : std::uint8_t {
 };
 
 /// Options selecting and parameterizing the fidelity estimator. Defaults
-/// reproduce the closed-form model byte-for-byte; like PR 6's tune fields,
-/// non-default values are fingerprint-visible (cache/fingerprint.cpp) while
-/// the defaults hash to exactly their pre-sim bytes, so existing cache keys
-/// stay stable.
+/// reproduce the closed-form model byte-for-byte.
 struct FidelityOptions {
   FidelityModel model = FidelityModel::kClosedForm;
   /// Monte Carlo shots per cell when `model == kSimulated`.
@@ -56,13 +62,13 @@ struct FidelityOptions {
   /// decoheres exactly like parking, which is what the closed-form model
   /// assumes; only meaningful with per-qubit decoherence).
   double moving_decoherence_scale = 1.0;
-
-  [[nodiscard]] bool is_default() const noexcept {
-    return model == FidelityModel::kClosedForm &&
-           shots == FidelityOptions{}.shots &&
-           moving_decoherence_scale == 1.0;
-  }
 };
+
+/// The one field list of FidelityOptions (see util/fields.hpp).
+template <util::FieldsOf<FidelityOptions> Options, typename Visit>
+constexpr void for_each_field(Options&& o, Visit&& visit) {
+  visit(o.model, o.shots, o.moving_decoherence_scale);
+}
 
 /// Estimated probability of success for one logical shot of `result` on the
 /// hardware described by `config`.

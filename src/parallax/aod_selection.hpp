@@ -14,6 +14,7 @@
 
 #include "circuit/circuit.hpp"
 #include "hardware/machine.hpp"
+#include "util/fields.hpp"
 
 namespace parallax::compiler {
 
@@ -23,6 +24,12 @@ struct AodSelectionOptions {
   double out_of_range_weight = 0.99;
   double interference_weight = 0.01;
 };
+
+/// The one field list of AodSelectionOptions (see util/fields.hpp).
+template <util::FieldsOf<AodSelectionOptions> Options, typename Visit>
+constexpr void for_each_field(Options&& o, Visit&& visit) {
+  visit(o.out_of_range_weight, o.interference_weight);
+}
 
 struct AodSelectionResult {
   std::vector<std::int8_t> in_aod;      // per logical qubit

@@ -9,6 +9,7 @@
 
 #include "circuit/circuit.hpp"
 #include "placement/discretize.hpp"
+#include "util/fields.hpp"
 
 namespace parallax::compiler {
 
@@ -45,6 +46,14 @@ struct CompileStats {
   double max_move_distance_um = 0.0;
   double total_move_distance_um = 0.0;
 };
+
+/// The one field list of CompileStats (see util/fields.hpp).
+template <util::FieldsOf<CompileStats> Options, typename Visit>
+constexpr void for_each_field(Options&& o, Visit&& visit) {
+  visit(o.u3_gates, o.cz_gates, o.swap_gates, o.layers, o.aod_moves,
+        o.trap_changes, o.out_of_range_cz, o.slm_slm_cz,
+        o.max_move_distance_um, o.total_move_distance_um);
+}
 
 /// Wall-clock of one pipeline pass. Observational metadata: it is excluded
 /// from the compilation cache's serialized payloads and from every

@@ -12,6 +12,7 @@
 #include "circuit/circuit.hpp"
 #include "hardware/machine.hpp"
 #include "parallax/result.hpp"
+#include "util/fields.hpp"
 #include "util/rng.hpp"
 
 namespace parallax::compiler {
@@ -29,6 +30,13 @@ struct SchedulerOptions {
   /// default: it is O(layers * qubits) memory.
   bool record_positions = false;
 };
+
+/// The one field list of SchedulerOptions (see util/fields.hpp).
+template <util::FieldsOf<SchedulerOptions> Options, typename Visit>
+constexpr void for_each_field(Options&& o, Visit&& visit) {
+  visit(o.return_home, o.max_move_iterations, o.shuffle_seed,
+        o.record_positions);
+}
 
 struct ScheduleOutput {
   std::vector<Layer> layers;

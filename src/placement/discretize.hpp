@@ -38,6 +38,12 @@ struct DiscretizeOptions {
   double spread_factor = 2.0;
 };
 
+/// The one field list of DiscretizeOptions (see util/fields.hpp).
+template <util::FieldsOf<DiscretizeOptions> Options, typename Visit>
+constexpr void for_each_field(Options&& o, Visit&& visit) {
+  visit(o.spread_factor);
+}
+
 /// Snaps every qubit of `topology` onto a free site of the machine grid,
 /// nearest-first (ties broken toward smaller snapping distortion). Throws
 /// std::runtime_error if the circuit has more qubits than the machine has

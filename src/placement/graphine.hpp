@@ -12,6 +12,7 @@
 #include "anneal/dual_annealing.hpp"
 #include "circuit/interaction_graph.hpp"
 #include "geometry/point.hpp"
+#include "util/fields.hpp"
 
 namespace parallax::placement {
 
@@ -19,7 +20,7 @@ namespace parallax::placement {
 enum class ProposalMode : std::uint8_t {
   /// Legacy reference path: every coordinate perturbed per iteration, full
   /// O(E + n^2) re-score per proposal. Byte-identical to pre-delta-scoring
-  /// builds — cached fingerprints and goldens stay valid.
+  /// builds — the placement goldens stay valid.
   kFullVector = 0,
   /// Delta-cost hot path: one qubit moves per proposal, scored
   /// incrementally in O(deg + local neighbors) against a spatial hash.
@@ -54,25 +55,31 @@ struct GraphineOptions {
   /// Independent annealing chains, reduced deterministically (lowest value,
   /// then lowest chain index). chains > 1 implies per-qubit proposals and
   /// fans the chains across a transient thread pool; 1 keeps a single
-  /// chain. Fingerprint-visible only when non-default, so legacy cache
-  /// keys are untouched.
+  /// chain.
   int chains = 1;
   /// Windowed placement threshold: when positive and smaller than the
   /// circuit's qubit count, the interaction graph is partitioned into
   /// windows of at most this many qubits, each annealed independently and
   /// stitched (placement/windowed.hpp). 0 disables windowing. Callers
   /// normalize the field to 0 whenever the circuit fits in one window
-  /// (pipeline and sweep do), so it is fingerprint-visible only when the
-  /// windowed path actually runs and every legacy cache key is untouched.
+  /// (pipeline and sweep do), so a cap that changes nothing never splits
+  /// cache keys.
   int max_window_qubits = 0;
   /// Optimizer portfolio: when positive, the anneal budget is split across
   /// up to this many raced entrants (delta single-chain, mc4 reduction,
   /// Nelder-Mead polish, fresh restart — in that fixed order) and the
   /// deterministic winner is kept (anneal/portfolio.hpp). 0 keeps the
-  /// single-optimizer paths. Fingerprint-visible only when non-zero, so
-  /// every legacy cache key is untouched.
+  /// single-optimizer paths.
   int portfolio_entrants = 0;
 };
+
+/// The one field list of GraphineOptions (see util/fields.hpp).
+template <util::FieldsOf<GraphineOptions> Options, typename Visit>
+constexpr void for_each_field(Options&& o, Visit&& visit) {
+  visit(o.anneal_iterations, o.local_search_evaluations, o.crowding_distance,
+        o.crowding_weight, o.warm_start, o.seed, o.proposal, o.chains,
+        o.max_window_qubits, o.portfolio_entrants);
+}
 
 /// A placement in normalized coordinates plus the selected radius.
 struct Topology {

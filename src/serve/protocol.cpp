@@ -5,9 +5,8 @@
 
 #include <cerrno>
 
-#include "cache/serialize.hpp"
+#include "cache/fields.hpp"
 #include "shard/shard.hpp"
-#include "util/hash.hpp"
 #include "util/parse.hpp"
 
 namespace parallax::serve {
@@ -17,104 +16,40 @@ namespace {
 using cache::Reader;
 using cache::Writer;
 
-constexpr std::uint64_t kMagic = 0x3145565245535850ULL;  // "PXSERVE1" LE
-/// Frames larger than this are rejected before allocation — far beyond any
-/// real cell or summary, small enough that a corrupt size field cannot ask
-/// a client to buffer terabytes.
-constexpr std::uint64_t kMaxPayloadBytes = 1ull << 33;
+constexpr cache::Envelope kServeEnvelope(0x3145565245535850ULL,  // PXSERVE1
+                                         kServeVersion, "serve frame");
 
-std::string frame(FrameType type, std::uint64_t request_id,
-                  const std::string& payload) {
+/// A frame payload under construction; the request id leads it.
+Writer begin_payload(std::uint64_t request_id) {
   Writer writer;
-  writer.u64(kMagic);
-  writer.u32(kServeVersion);
-  writer.u32(static_cast<std::uint32_t>(type));
   writer.u64(request_id);
-  writer.u64(payload.size());
-  writer.u64(util::checksum64(payload.data(), payload.size()));
-  return writer.take() + payload;
+  return writer;
 }
 
-void encode_summary(Writer& writer, const Summary& summary) {
-  writer.u64(summary.total_cells);
-  writer.u64(summary.executed_cells);
-  writer.u64(summary.failed_cells);
-  writer.u64(summary.cancelled_cells);
-  writer.u64(summary.result_cache_hits);
-  writer.u64(summary.result_cache_misses);
-  writer.u64(summary.placement_disk_hits);
-  writer.u64(summary.anneals);
-  writer.boolean(summary.cancelled);
-  writer.f64(summary.wall_seconds);
-  writer.str(summary.error);
+std::string seal(FrameType type, const Writer& payload) {
+  return kServeEnvelope.seal(static_cast<std::uint32_t>(type),
+                             payload.bytes());
 }
 
-Summary decode_summary(Reader& reader) {
-  Summary summary;
-  summary.total_cells = reader.u64();
-  summary.executed_cells = reader.u64();
-  summary.failed_cells = reader.u64();
-  summary.cancelled_cells = reader.u64();
-  summary.result_cache_hits = reader.u64();
-  summary.result_cache_misses = reader.u64();
-  summary.placement_disk_hits = reader.u64();
-  summary.anneals = reader.u64();
-  summary.cancelled = reader.boolean();
-  summary.wall_seconds = reader.f64();
-  summary.error = reader.str();
-  return summary;
-}
+static_assert(util::lists_every_field<Summary>());
+static_assert(util::lists_every_field<ClientStats>());
+// SessionStats' client rows follow its list on the wire.
+static_assert(util::lists_every_field<SessionStats, 1>());
 
 void encode_session_stats(Writer& writer, const SessionStats& stats) {
-  writer.u64(stats.requests);
-  writer.u64(stats.cells_executed);
-  writer.u64(stats.cells_failed);
-  writer.u64(stats.result_cache_hits);
-  writer.u64(stats.result_cache_misses);
-  writer.u64(stats.placement_cache_hits);
-  writer.u64(stats.placement_cache_misses);
-  writer.u64(stats.anneals);
-  writer.u64(stats.threads);
-  writer.boolean(stats.cache_enabled);
-  writer.f64(stats.uptime_seconds);
+  cache::write_fields(writer, stats);
   writer.u64(stats.clients.size());
   for (const ClientStats& client : stats.clients) {
-    writer.u64(client.client_id);
-    writer.u64(client.requests);
-    writer.u64(client.cells_executed);
-    writer.u64(client.anneals);
-    writer.u64(client.bytes_queued);
-    writer.f64(client.connected_seconds);
-    writer.boolean(client.connected);
+    cache::write_fields(writer, client);
   }
 }
 
 SessionStats decode_session_stats(Reader& reader) {
   SessionStats stats;
-  stats.requests = reader.u64();
-  stats.cells_executed = reader.u64();
-  stats.cells_failed = reader.u64();
-  stats.result_cache_hits = reader.u64();
-  stats.result_cache_misses = reader.u64();
-  stats.placement_cache_hits = reader.u64();
-  stats.placement_cache_misses = reader.u64();
-  stats.anneals = reader.u64();
-  stats.threads = reader.u64();
-  stats.cache_enabled = reader.boolean();
-  stats.uptime_seconds = reader.f64();
-  const std::uint64_t n_clients = reader.u64();
-  stats.clients.reserve(n_clients);
-  for (std::uint64_t i = 0; i < n_clients; ++i) {
-    ClientStats client;
-    client.client_id = reader.u64();
-    client.requests = reader.u64();
-    client.cells_executed = reader.u64();
-    client.anneals = reader.u64();
-    client.bytes_queued = reader.u64();
-    client.connected_seconds = reader.f64();
-    client.connected = reader.boolean();
-    stats.clients.push_back(client);
-  }
+  cache::read_fields(reader, stats);
+  // Every row opens with its u64 client id.
+  stats.clients.resize(reader.length(sizeof(std::uint64_t)));
+  for (ClientStats& client : stats.clients) cache::read_fields(reader, client);
   return stats;
 }
 
@@ -225,73 +160,67 @@ RequestLine parse_request_line(std::string_view line) {
 }
 
 std::string cell_frame(std::uint64_t request_id, const sweep::Cell& cell) {
-  Writer writer;
+  Writer writer = begin_payload(request_id);
   shard::encode_cell(writer, cell);
-  return frame(FrameType::kCell, request_id, writer.take());
+  return seal(FrameType::kCell, writer);
 }
 
 std::string done_frame(std::uint64_t request_id, const Summary& summary) {
-  Writer writer;
-  encode_summary(writer, summary);
-  return frame(FrameType::kDone, request_id, writer.take());
+  Writer writer = begin_payload(request_id);
+  cache::write_fields(writer, summary);
+  return seal(FrameType::kDone, writer);
 }
 
 std::string stats_frame(std::uint64_t request_id, const SessionStats& stats) {
-  Writer writer;
+  Writer writer = begin_payload(request_id);
   encode_session_stats(writer, stats);
-  return frame(FrameType::kStats, request_id, writer.take());
+  return seal(FrameType::kStats, writer);
 }
 
 std::string error_frame(std::uint64_t request_id, std::string_view message) {
-  Writer writer;
+  Writer writer = begin_payload(request_id);
   writer.str(message);
-  return frame(FrameType::kError, request_id, writer.take());
+  return seal(FrameType::kError, writer);
 }
 
 FrameHeader parse_frame_header(std::string_view bytes) {
-  if (bytes.size() != kFrameHeaderBytes) {
-    throw ServeError("serve frame header has the wrong size");
+  cache::EnvelopeHeader envelope;
+  try {
+    envelope = kServeEnvelope.read_header(bytes);
+  } catch (const cache::EnvelopeError& error) {
+    throw ServeError(error.what());
   }
-  Reader reader(bytes);
-  if (reader.u64() != kMagic) throw ServeError("not a parallax serve frame");
-  if (reader.u32() != kServeVersion) {
-    throw ServeError("serve frame from an incompatible version");
-  }
-  const std::uint32_t type = reader.u32();
-  if (type != static_cast<std::uint32_t>(FrameType::kCell) &&
-      type != static_cast<std::uint32_t>(FrameType::kDone) &&
-      type != static_cast<std::uint32_t>(FrameType::kStats) &&
-      type != static_cast<std::uint32_t>(FrameType::kError)) {
+  if (envelope.kind != static_cast<std::uint32_t>(FrameType::kCell) &&
+      envelope.kind != static_cast<std::uint32_t>(FrameType::kDone) &&
+      envelope.kind != static_cast<std::uint32_t>(FrameType::kStats) &&
+      envelope.kind != static_cast<std::uint32_t>(FrameType::kError)) {
     throw ServeError("serve frame has an unknown type");
   }
-  FrameHeader header;
-  header.type = static_cast<FrameType>(type);
-  header.request_id = reader.u64();
-  header.payload_size = reader.u64();
-  header.checksum = reader.u64();
-  if (header.payload_size > kMaxPayloadBytes) {
-    throw ServeError("serve frame declares an implausibly large payload");
-  }
-  return header;
+  return {static_cast<FrameType>(envelope.kind), envelope.size,
+          envelope.checksum};
 }
 
 Frame decode_frame(const FrameHeader& header, std::string_view payload) {
-  if (payload.size() != header.payload_size) {
-    throw ServeError("serve frame payload size mismatch");
+  try {
+    kServeEnvelope.check_payload({static_cast<std::uint32_t>(header.type),
+                                  header.payload_size, header.checksum},
+                                 payload);
+  } catch (const cache::EnvelopeError& error) {
+    throw ServeError(error.what());
   }
-  if (util::checksum64(payload.data(), payload.size()) != header.checksum) {
-    throw ServeError("serve frame payload checksum mismatch");
+  if (payload.size() < sizeof(std::uint64_t)) {
+    throw ServeError("serve frame payload lacks its request id");
   }
   Frame result;
   result.type = header.type;
-  result.request_id = header.request_id;
   Reader reader(payload);
+  result.request_id = reader.u64();
   switch (header.type) {
     case FrameType::kCell:
       result.cell = shard::decode_cell(reader);
       break;
     case FrameType::kDone:
-      result.summary = decode_summary(reader);
+      cache::read_fields(reader, result.summary);
       break;
     case FrameType::kStats:
       result.stats = decode_session_stats(reader);

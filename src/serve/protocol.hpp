@@ -17,8 +17,9 @@
 //   QUIT                  stop this connection after draining its requests
 //
 // Responses travel server -> client as length-prefixed binary frames, each
-// a fixed 40-byte header (magic, version, type, request id, payload size,
-// 64-bit payload checksum) followed by the payload:
+// the 32-byte cache/envelope.hpp header (magic, version, type, payload size,
+// 64-bit payload checksum) followed by the payload. The payload opens with
+// the 8-byte request id, so the checksum covers it; the rest is by type:
 //   kCell   one completed sweep cell (shard::encode_cell bytes), streamed
 //           as it finishes — completion order, not matrix order
 //   kDone   the request's completion summary; exactly one per request,
@@ -43,6 +44,8 @@
 
 #include "shard/spec.hpp"
 #include "sweep/sweep.hpp"
+#include "cache/envelope.hpp"
+#include "util/fields.hpp"
 
 namespace parallax::serve {
 
@@ -57,7 +60,9 @@ class ServeError : public std::runtime_error {
 /// v2: STATS request verb + kStats response frame.
 /// v3: multi-tenant farm — per-client rows in the kStats payload and the
 ///     STOP (graceful session drain) request verb.
-inline constexpr std::uint32_t kServeVersion = 3;
+/// v4: frames use the shared 32-byte envelope; the request id moved from
+///     the header into the first 8 payload bytes (frame sizes unchanged).
+inline constexpr std::uint32_t kServeVersion = 4;
 
 enum class FrameType : std::uint32_t {
   kCell = 1,
@@ -84,6 +89,13 @@ struct ClientStats {
   bool connected = false;
 };
 
+/// The one field list of ClientStats (see util/fields.hpp).
+template <util::FieldsOf<ClientStats> Options, typename Visit>
+constexpr void for_each_field(Options&& o, Visit&& visit) {
+  visit(o.client_id, o.requests, o.cells_executed, o.anneals, o.bytes_queued,
+        o.connected_seconds, o.connected);
+}
+
 /// Session-wide accounting snapshot — the kStats payload. Counters cover
 /// every request the service completed since it started; the cache counters
 /// are the session CompilationCache's own hit/miss tallies (all zero when
@@ -105,6 +117,16 @@ struct SessionStats {
   /// client_id. The request/cell/anneal columns sum to the totals above.
   std::vector<ClientStats> clients;
 };
+
+/// The field list of SessionStats (see util/fields.hpp) but for `clients`,
+/// whose rows the kStats codec writes after it.
+template <util::FieldsOf<SessionStats> Options, typename Visit>
+constexpr void for_each_field(Options&& o, Visit&& visit) {
+  visit(o.requests, o.cells_executed, o.cells_failed, o.result_cache_hits,
+        o.result_cache_misses, o.placement_cache_hits,
+        o.placement_cache_misses, o.anneals, o.threads, o.cache_enabled,
+        o.uptime_seconds);
+}
 
 /// Per-request completion summary — the kDone payload.
 struct Summary {
@@ -128,6 +150,14 @@ struct Summary {
 
   [[nodiscard]] bool ok() const noexcept { return error.empty(); }
 };
+
+/// The one field list of Summary (see util/fields.hpp).
+template <util::FieldsOf<Summary> Options, typename Visit>
+constexpr void for_each_field(Options&& o, Visit&& visit) {
+  visit(o.total_cells, o.executed_cells, o.failed_cells, o.cancelled_cells,
+        o.result_cache_hits, o.result_cache_misses, o.placement_disk_hits,
+        o.anneals, o.cancelled, o.wall_seconds, o.error);
+}
 
 // --- request lines (client -> server) -----------------------------------------
 
@@ -153,11 +183,11 @@ struct RequestLine {
 
 // --- response frames (server -> client) ---------------------------------------
 
-inline constexpr std::size_t kFrameHeaderBytes = 40;
+inline constexpr std::size_t kFrameHeaderBytes = cache::kEnvelopeHeaderBytes;
 
 struct FrameHeader {
   FrameType type = FrameType::kError;
-  std::uint64_t request_id = 0;
+  /// Payload bytes that follow the header, request id included.
   std::uint64_t payload_size = 0;
   std::uint64_t checksum = 0;
 };
@@ -184,7 +214,8 @@ struct Frame {
 /// Parses exactly kFrameHeaderBytes of header. Throws ServeError on bad
 /// magic, version drift, an unknown type, or an implausible payload size.
 [[nodiscard]] FrameHeader parse_frame_header(std::string_view bytes);
-/// Validates the payload against its header (checksum) and decodes it.
+/// Validates the payload against its header (size, checksum) and decodes
+/// the request id and the typed body.
 [[nodiscard]] Frame decode_frame(const FrameHeader& header,
                                  std::string_view payload);
 

@@ -6,6 +6,7 @@
 #include <map>
 #include <utility>
 
+#include "cache/fields.hpp"
 #include "placement/graphine.hpp"
 #include "util/stopwatch.hpp"
 
@@ -36,12 +37,7 @@ void encode_cell_canonical(Writer& writer, const sweep::Cell& cell) {
   cache::encode(writer, cell.result);
   writer.f64(cell.success_probability);
   writer.u64(cell.shot_plans.size());
-  for (const auto& plan : cell.shot_plans) {
-    writer.i32(plan.copies_per_dim);
-    writer.i32(plan.copies);
-    writer.i64(plan.physical_shots);
-    writer.f64(plan.total_execution_time_us);
-  }
+  for (const auto& plan : cell.shot_plans) cache::write_fields(writer, plan);
 }
 
 sweep::Cell decode_cell_canonical(Reader& reader) {
@@ -55,16 +51,8 @@ sweep::Cell decode_cell_canonical(Reader& reader) {
   cell.error = reader.str();
   cell.result = cache::decode_result(reader);
   cell.success_probability = reader.f64();
-  const std::size_t n_plans = reader.length(24);
-  cell.shot_plans.reserve(n_plans);
-  for (std::size_t i = 0; i < n_plans; ++i) {
-    shots::ParallelPlan plan;
-    plan.copies_per_dim = reader.i32();
-    plan.copies = reader.i32();
-    plan.physical_shots = reader.i64();
-    plan.total_execution_time_us = reader.f64();
-    cell.shot_plans.push_back(plan);
-  }
+  cell.shot_plans.resize(reader.length(24));
+  for (auto& plan : cell.shot_plans) cache::read_fields(reader, plan);
   return cell;
 }
 
@@ -358,7 +346,8 @@ std::string serialize_shard_run(const ShardRun& run) {
 }
 
 ShardRun parse_shard_run(std::string_view bytes) {
-  const std::string payload = unframe_payload(FileKind::kShardRun, bytes);
+  const std::string_view payload =
+      unframe_payload(FileKind::kShardRun, bytes);
   Reader reader(payload);
   ShardRun run;
   run.spec.hi = reader.u64();

@@ -8,10 +8,11 @@
 // spec bytes must produce byte-identical cells whatever their local setup.
 //
 // The on-disk format follows src/cache/serialize conventions: fixed-width
-// little-endian fields via cache::Writer/Reader, wrapped in a versioned
-// header (magic, spec version, kind, payload size, 64-bit checksum). Any
-// truncation, bit flip, or version drift throws cache::ReadError on parse —
-// a corrupt spec or shard output is rejected, never silently merged.
+// little-endian fields via cache::Writer/Reader (options from their field
+// lists, cache/fields.hpp), wrapped in the cache/envelope.hpp header (magic,
+// spec version, kind, payload size, 64-bit checksum). Any truncation, bit
+// flip, or version drift throws cache::ReadError on parse — a corrupt spec
+// or shard output is rejected, never silently merged.
 #pragma once
 
 #include <cstdint>
@@ -66,14 +67,9 @@ struct ShardSpec {
 /// the spec codec; shard outputs also carry the new per-layer aod_moves.
 /// v3: the placement codec carries every GraphineOptions field (proposal
 /// mode, chains, window cap, portfolio entrants were dropped before).
-inline constexpr std::uint32_t kSpecVersion = 3;
-
-// --- nested option codecs (shared with the shard-run encoder) -----------------
-
-void encode_spec_options(cache::Writer& writer, const sweep::Options& options);
-[[nodiscard]] sweep::Options decode_spec_options(cache::Reader& reader);
-void encode_machine(cache::Writer& writer, const sweep::MachineSpec& machine);
-[[nodiscard]] sweep::MachineSpec decode_machine(cache::Reader& reader);
+/// v4: options are written from their field lists (cache/fields.hpp):
+/// enums as their underlying type, the preset topology length-prefixed.
+inline constexpr std::uint32_t kSpecVersion = 4;
 
 // --- spec serialization -------------------------------------------------------
 
@@ -115,13 +111,12 @@ enum class FileKind : std::uint32_t {
 /// corruption and ShardError on an empty matrix axis.
 [[nodiscard]] SweepSpec parse_sweep_spec(std::string_view bytes);
 
-/// Wraps payload bytes in the shard file header (magic, version, kind,
-/// size, checksum64).
+/// Wraps payload bytes in the shard file envelope (cache/envelope.hpp).
 [[nodiscard]] std::string frame_payload(FileKind kind,
-                                        const std::string& payload);
-/// Validates the frame end to end and returns the payload; throws
-/// cache::ReadError on any mismatch.
-[[nodiscard]] std::string unframe_payload(FileKind kind,
-                                          std::string_view bytes);
+                                        std::string_view payload);
+/// Validates the envelope end to end and returns a view of the payload
+/// inside `bytes`; throws cache::ReadError on any mismatch.
+[[nodiscard]] std::string_view unframe_payload(FileKind kind,
+                                               std::string_view bytes);
 
 }  // namespace parallax::shard

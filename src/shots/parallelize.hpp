@@ -16,6 +16,7 @@
 
 #include "hardware/config.hpp"
 #include "parallax/result.hpp"
+#include "util/fields.hpp"
 
 namespace parallax::shots {
 
@@ -27,12 +28,25 @@ struct ShotOptions {
   double inter_shot_overhead_us = 50.0;
 };
 
+/// The one field list of ShotOptions (see util/fields.hpp).
+template <util::FieldsOf<ShotOptions> Options, typename Visit>
+constexpr void for_each_field(Options&& o, Visit&& visit) {
+  visit(o.logical_shots, o.inter_shot_overhead_us);
+}
+
 struct ParallelPlan {
   std::int32_t copies_per_dim = 1;
   std::int32_t copies = 1;              // logical shots per physical shot
   std::int64_t physical_shots = 0;      // ceil(logical / copies)
   double total_execution_time_us = 0.0; // the paper's Fig. 11 metric
 };
+
+/// The one field list of ParallelPlan (see util/fields.hpp).
+template <util::FieldsOf<ParallelPlan> Options, typename Visit>
+constexpr void for_each_field(Options&& o, Visit&& visit) {
+  visit(o.copies_per_dim, o.copies, o.physical_shots,
+        o.total_execution_time_us);
+}
 
 /// Side of the compiled circuit's bounding box in grid cells (plus one cell
 /// of margin so neighbouring copies keep the separation constraint).

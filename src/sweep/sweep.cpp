@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <future>
 #include <map>
 #include <mutex>
@@ -10,6 +9,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "cache/fields.hpp"
+#include "cache/fingerprint.hpp"
 #include "circuit/interaction_graph.hpp"
 #include "circuit/transpile.hpp"
 #include "placement/graphine.hpp"
@@ -25,7 +26,7 @@ namespace {
 
 using util::Stopwatch;
 
-/// Thread-safe memo keyed by an option fingerprint. The first caller of a
+/// Thread-safe memo keyed by a digest of its inputs. The first caller of a
 /// key computes the value; concurrent callers of the same key wait on its
 /// shared_future, so no placement is ever annealed twice.
 template <typename V>
@@ -33,7 +34,7 @@ class Memo {
  public:
   /// The reference is into the memo's shared state and stays valid for the
   /// memo's lifetime.
-  const V& get(const std::string& key, const std::function<V()>& compute,
+  const V& get(const cache::Digest128& key, const std::function<V()>& compute,
                std::size_t* hits, std::size_t* misses) {
     std::shared_future<V> future;
     bool owner = false;
@@ -63,36 +64,8 @@ class Memo {
 
  private:
   std::mutex mutex_;
-  std::map<std::string, std::shared_future<V>> futures_;
+  std::map<cache::Digest128, std::shared_future<V>> futures_;
 };
-
-/// Keyed by the fingerprint of the circuit the placement's interaction graph
-/// is built from (`input_key`) plus every GraphineOptions field, so cells
-/// whose effective inputs or placement options diverge never share one.
-std::string placement_key(const std::string& input_key,
-                          const placement::GraphineOptions& options) {
-  char buffer[224];
-  std::snprintf(buffer, sizeof(buffer),
-                "|%d|%d|%.17g|%.17g|%d|%llu|%d|%d|%d|%d",
-                options.anneal_iterations,
-                options.local_search_evaluations, options.crowding_distance,
-                options.crowding_weight, options.warm_start ? 1 : 0,
-                static_cast<unsigned long long>(options.seed),
-                static_cast<int>(options.proposal), options.chains,
-                options.max_window_qubits, options.portfolio_entrants);
-  return input_key + buffer;
-}
-
-std::string transpile_key(std::size_t circuit_index,
-                          const circuit::TranspileOptions& options) {
-  char buffer[128];
-  std::snprintf(buffer, sizeof(buffer), "%zu|%d|%d|%d|%.17g|%d",
-                circuit_index, options.fuse_single_qubit ? 1 : 0,
-                options.cancel_cz_pairs ? 1 : 0,
-                options.drop_identities ? 1 : 0, options.identity_tolerance,
-                options.max_iterations);
-  return buffer;
-}
 
 /// Overwrites the timing entry of `pass_name` (when present) with the cost
 /// the sweep driver actually paid for that stage outside the pipeline —
@@ -227,13 +200,20 @@ Result run(const std::vector<CircuitSpec>& circuits,
       // the {U3, CZ} basis). Keyed on the cell's effective transpile options
       // so a customize hook that changes them is honored, not silently
       // served another cell's circuit. Circuit names are preserved, so
-      // per-circuit seed derivation is unchanged.
+      // per-circuit seed derivation is unchanged. The key is the circuit's
+      // matrix index plus, when it is transpiled here, every
+      // TranspileOptions field.
       const circuit::Circuit* input = &spec.circuit;
-      std::string input_key = std::to_string(ci) + "|raw";
+      cache::Fingerprinter input_fields;
+      input_fields.u64(ci);
+      input_fields.boolean(opts.assume_transpiled);
+      if (!opts.assume_transpiled) {
+        cache::write_fields(input_fields, opts.transpile);
+      }
+      const cache::Digest128 input_key = input_fields.finish();
       bool transpile_shared = false;
       double transpile_seconds = 0.0;
       if (!opts.assume_transpiled) {
-        input_key = transpile_key(ci, opts.transpile);
         bool transpiled_here = false;
         const Stopwatch transpile_watch;
         input = &transpiled_memo.get(
@@ -305,15 +285,20 @@ Result run(const std::vector<CircuitSpec>& circuits,
         popts.seed = util::derive_seed(opts.seed, input->name(),
                                        util::kPlacementSeedSalt);
         // Normalize before any key is derived: a window cap the circuit fits
-        // under changes nothing, so it must not perturb memo keys or the
-        // persistent fingerprint (which feeds the field only when non-zero).
+        // under changes nothing, so it must not split memo keys or the
+        // persistent fingerprint.
         if (popts.max_window_qubits > 0 &&
             input->n_qubits() <= popts.max_window_qubits) {
           popts.max_window_qubits = 0;
         }
+        // Keyed by the effective input plus every GraphineOptions field, so
+        // cells whose inputs or placement options diverge never share one.
+        cache::Fingerprinter placement_fields;
+        placement_fields.digest(input_key);
+        cache::write_fields(placement_fields, popts);
         const Stopwatch placement_watch;
         opts.preset_topology = placement_memo.get(
-            placement_key(input_key, popts),
+            placement_fields.finish(),
             [&] {
               // The in-run memo missed: consult the persistent disk tier
               // before paying for an anneal, and persist fresh anneals so
