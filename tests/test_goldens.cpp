@@ -57,11 +57,12 @@ constexpr Golden kGoldens[] = {
 
 }  // namespace
 
-// Fingerprint goldens: the digests every persistent-cache key derives from,
-// recorded before windowed placement and the streaming front end landed. A
-// change here silently invalidates (or worse, aliases) every existing cache
-// directory, so new fingerprint-visible fields must be fed conditionally —
-// only when non-default — like ProposalMode/chains and max_window_qubits.
+// Fingerprint goldens: the digests every persistent-cache key derives from.
+// The circuit digest dates from before windowed placement and the streaming
+// front end landed. The option digests were re-recorded when every option
+// field started being fed unconditionally: the old conditional feed let
+// distinct option sets share a key. A change here silently invalidates every
+// existing cache directory, so it must come with a kPayloadVersion bump.
 TEST(Goldens, LegacyFingerprintsAreByteStable) {
   namespace pb = parallax::bench_circuits;
   namespace pc = parallax::circuit;
@@ -69,39 +70,37 @@ TEST(Goldens, LegacyFingerprintsAreByteStable) {
   namespace pp = parallax::placement;
 
   EXPECT_EQ(pk::fingerprint(pp::GraphineOptions{}).hex(),
-            "842bb19d21fa30e04924c724d58d71a6");
+            "2f5aa5b727b5dd31fdd346d57173f06a");
   EXPECT_EQ(pk::fingerprint(parallax::pipeline::CompileOptions{}).hex(),
-            "acc1310dc7ec9ecfeae37db9679dfb69");
+            "3f32e749b45c029712dfe9c1d3914f74");
 
   const pc::Circuit wst = pc::transpile(pb::make_benchmark("WST", {}));
   const pk::Digest128 wst_fp = pk::fingerprint(wst);
   EXPECT_EQ(wst_fp.hex(), "c2606d893511fa1d1935b3f5e074933e");
   EXPECT_EQ(pk::placement_key(wst_fp, pp::GraphineOptions{}).hex(),
-            "6382dc9309d9bb78b22499316a893a97");
+            "afe99a7e59e1fe01eed295786f7ed102");
 }
 
 TEST(Goldens, WindowCapIsFingerprintInvisibleWhenNormalized) {
   namespace pk = parallax::cache;
   namespace pp = parallax::placement;
-  // max_window_qubits is fed only when non-zero: callers normalize it to 0
-  // whenever the circuit fits one window, so every legacy digest above (and
-  // every cache entry written before windowing existed) stays valid.
+  // Callers normalize max_window_qubits to 0 whenever the circuit fits one
+  // window, so a normalized cap keys exactly like the default options.
   pp::GraphineOptions options;
   options.max_window_qubits = 0;
   EXPECT_EQ(pk::fingerprint(options).hex(),
-            "842bb19d21fa30e04924c724d58d71a6");
+            "2f5aa5b727b5dd31fdd346d57173f06a");
   options.max_window_qubits = 64;
   EXPECT_NE(pk::fingerprint(options).hex(),
-            "842bb19d21fa30e04924c724d58d71a6");
+            "2f5aa5b727b5dd31fdd346d57173f06a");
 }
 
 TEST(Goldens, AnnealerModesKeyDistinctlyWithoutMovingDefaults) {
   namespace pk = parallax::cache;
   namespace pp = parallax::placement;
-  // Same conditional-feed contract as the window cap: batched proposals and
-  // the raced portfolio are fingerprint-visible only when enabled, so every
-  // legacy key stays byte-stable while each new mode keys its own entries.
-  const std::string legacy = "842bb19d21fa30e04924c724d58d71a6";
+  // Batched proposals and the raced portfolio each key their own entries,
+  // while the default (legacy full-vector) options keep the golden above.
+  const std::string legacy = "2f5aa5b727b5dd31fdd346d57173f06a";
   pp::GraphineOptions options;
   options.portfolio_entrants = 0;
   EXPECT_EQ(pk::fingerprint(options).hex(), legacy);
