@@ -17,7 +17,7 @@ std::string Envelope::seal(std::uint32_t kind,
 }
 
 EnvelopeHeader Envelope::read_header(std::string_view bytes) const {
-  if (bytes.size() != kEnvelopeHeaderBytes) fail("has a truncated header");
+  if (bytes.size() != kEnvelopeHeaderBytes) fail("header has the wrong size");
   Reader reader(bytes);
   if (reader.u64() != magic_) fail("has the wrong magic");
   if (reader.u32() != version_) fail("was written by an incompatible version");
@@ -39,7 +39,7 @@ void Envelope::check_payload(const EnvelopeHeader& header,
 
 std::string_view Envelope::open(std::uint32_t kind,
                                 std::string_view bytes) const {
-  if (bytes.size() < kEnvelopeHeaderBytes) fail("has a truncated header");
+  if (bytes.size() < kEnvelopeHeaderBytes) fail("ends before its header");
   const EnvelopeHeader header =
       read_header(bytes.substr(0, kEnvelopeHeaderBytes));
   if (header.kind != kind) fail("has the wrong kind for this operation");

@@ -23,6 +23,7 @@
 #include "placement/graphine.hpp"
 #include "shots/parallelize.hpp"
 #include "util/fields.hpp"
+#include "util/hash.hpp"
 
 namespace parallax::cache {
 
@@ -36,12 +37,17 @@ void write_field(Sink& sink, const F& value) {
     sink.u8(value);
   } else if constexpr (std::same_as<F, std::int32_t>) {
     sink.i32(value);
+  } else if constexpr (std::same_as<F, std::uint32_t>) {
+    sink.u32(value);
   } else if constexpr (std::same_as<F, std::int64_t>) {
     sink.i64(value);
   } else if constexpr (std::same_as<F, std::uint64_t>) {
     sink.u64(value);
   } else if constexpr (std::same_as<F, double>) {
     sink.f64(value);
+  } else if constexpr (std::same_as<F, util::Digest128>) {
+    sink.u64(value.hi);
+    sink.u64(value.lo);
   } else {
     static_assert(std::same_as<F, std::string>, "field type has no encoding");
     sink.str(value);
@@ -60,12 +66,17 @@ void read_field(Reader& reader, F& value) {
     value = reader.u8();
   } else if constexpr (std::same_as<F, std::int32_t>) {
     value = reader.i32();
+  } else if constexpr (std::same_as<F, std::uint32_t>) {
+    value = reader.u32();
   } else if constexpr (std::same_as<F, std::int64_t>) {
     value = reader.i64();
   } else if constexpr (std::same_as<F, std::uint64_t>) {
     value = reader.u64();
   } else if constexpr (std::same_as<F, double>) {
     value = reader.f64();
+  } else if constexpr (std::same_as<F, util::Digest128>) {
+    value.hi = reader.u64();
+    value.lo = reader.u64();
   } else {
     static_assert(std::same_as<F, std::string>, "field type has no decoding");
     value = reader.str();

@@ -321,27 +321,13 @@ std::string canonical_bytes(const sweep::Result& result) {
   return writer.take();
 }
 
+static_assert(util::lists_every_field<ShardRun, 1>());
+
 std::string serialize_shard_run(const ShardRun& run) {
   Writer writer;
-  writer.u64(run.spec.hi);
-  writer.u64(run.spec.lo);
-  writer.u32(run.shard_index);
-  writer.u32(run.shard_count);
-  writer.u64(run.n_circuits);
-  writer.u64(run.n_techniques);
-  writer.u64(run.n_machines);
+  cache::write_fields(writer, run);
   writer.u64(run.cells.size());
   for (const auto& cell : run.cells) encode_cell(writer, cell);
-  writer.f64(run.wall_seconds);
-  writer.u64(run.threads_used);
-  writer.u64(run.placement_cache_hits);
-  writer.u64(run.placement_cache_misses);
-  writer.u64(run.transpile_cache_hits);
-  writer.u64(run.transpile_cache_misses);
-  writer.u64(run.placement_disk_hits);
-  writer.u64(run.result_cache_hits);
-  writer.u64(run.result_cache_misses);
-  writer.u64(run.anneals);
   return frame_payload(FileKind::kShardRun, writer.take());
 }
 
@@ -350,13 +336,10 @@ ShardRun parse_shard_run(std::string_view bytes) {
       unframe_payload(FileKind::kShardRun, bytes);
   Reader reader(payload);
   ShardRun run;
-  run.spec.hi = reader.u64();
-  run.spec.lo = reader.u64();
-  run.shard_index = reader.u32();
-  run.shard_count = reader.u32();
-  run.n_circuits = reader.u64();
-  run.n_techniques = reader.u64();
-  run.n_machines = reader.u64();
+  cache::read_fields(reader, run);
+  if (run.shard_count == 0 || run.shard_index >= run.shard_count) {
+    throw ShardError("shard run has shard_index outside [0, shard_count)");
+  }
   const std::size_t total =
       checked_total_cells(run.n_circuits, run.n_techniques, run.n_machines);
   const std::size_t n_cells = reader.length(1);
@@ -375,20 +358,7 @@ ShardRun parse_shard_run(std::string_view bytes) {
     }
     run.cells.push_back(std::move(cell));
   }
-  run.wall_seconds = reader.f64();
-  run.threads_used = reader.u64();
-  run.placement_cache_hits = reader.u64();
-  run.placement_cache_misses = reader.u64();
-  run.transpile_cache_hits = reader.u64();
-  run.transpile_cache_misses = reader.u64();
-  run.placement_disk_hits = reader.u64();
-  run.result_cache_hits = reader.u64();
-  run.result_cache_misses = reader.u64();
-  run.anneals = reader.u64();
   reader.expect_end();
-  if (run.shard_count == 0 || run.shard_index >= run.shard_count) {
-    throw ShardError("shard run has shard_index outside [0, shard_count)");
-  }
   return run;
 }
 

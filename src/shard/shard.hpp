@@ -37,6 +37,7 @@
 #include "shard/spec.hpp"
 #include "sweep/sweep.hpp"
 #include "technique/registry.hpp"
+#include "util/fields.hpp"
 #include "util/hash.hpp"
 
 namespace parallax::shard {
@@ -110,6 +111,17 @@ struct ShardRun {
   /// run's count — the zero-duplicate-anneal property.
   std::uint64_t anneals = 0;
 };
+
+/// The field list of ShardRun (see util/fields.hpp) but for `cells`, which
+/// the run-file codec writes after it.
+template <util::FieldsOf<ShardRun> Run, typename Visit>
+constexpr void for_each_field(Run&& o, Visit&& visit) {
+  visit(o.spec, o.shard_index, o.shard_count, o.n_circuits, o.n_techniques,
+        o.n_machines, o.wall_seconds, o.threads_used, o.placement_cache_hits,
+        o.placement_cache_misses, o.transpile_cache_hits,
+        o.transpile_cache_misses, o.placement_disk_hits, o.result_cache_hits,
+        o.result_cache_misses, o.anneals);
+}
 
 /// Executes one shard in-process via sweep::run with the ownership filter.
 /// The spec's runtime-only option fields are overridden by `runner`.
