@@ -129,7 +129,9 @@ placement::PhysicalTopology decode_physical_topology(Reader& reader) {
   placement::PhysicalTopology topology;
   const std::int32_t side = reader.i32();
   const double pitch = reader.f64();
-  if (side < 1) throw ReadError("cache payload has a malformed grid");
+  if (side < 1 || !(pitch > 0.0)) {
+    throw ReadError("cache payload has a malformed grid");
+  }
   topology.grid = geom::Grid(side, pitch);
   const std::size_t count = reader.length(8);
   topology.sites.reserve(count);
@@ -176,7 +178,12 @@ circuit::Circuit decode_circuit(Reader& reader) {
     gate.theta = reader.f64();
     gate.phi = reader.f64();
     gate.lambda = reader.f64();
-    circuit.append(gate);  // re-validates qubit indices against n_qubits
+    try {
+      circuit.append(gate);  // re-validates qubit indices against n_qubits
+    } catch (const std::logic_error& error) {
+      throw ReadError(std::string("cache payload has a malformed gate: ") +
+                      error.what());
+    }
   }
   return circuit;
 }

@@ -266,7 +266,8 @@ TEST(Sweep, PersistentCacheNeverServesAnotherTechniquesPlacement) {
       sw::run(circuits, {"parallax-race"}, machines, cached);
   const auto without_cache =
       sw::run(circuits, {"parallax-race"}, machines, sw::Options{});
-  ASSERT_TRUE(without_cache.cells.at(0).ok()) << without_cache.cells.at(0).error;
+  ASSERT_TRUE(without_cache.cells.at(0).ok())
+      << without_cache.cells.at(0).error;
   EXPECT_EQ(through_cache.placement_disk_hits, 0u);
   // Compared as a bool: a mismatch would otherwise print kilobytes of bytes.
   EXPECT_TRUE(parallax::shard::canonical_bytes(through_cache) ==
