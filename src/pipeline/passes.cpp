@@ -81,7 +81,7 @@ Pass graphine_placement() {
       }
     } else {
       // Normalized single-window path: max_window_qubits plays no role here,
-      // so its fingerprint stays byte-identical to pre-windowing builds.
+      // so it is zeroed, as callers zero it before deriving a cache key.
       if (ctx.options.anneal_counter) {
         ctx.options.anneal_counter->fetch_add(1, std::memory_order_relaxed);
       }
