@@ -6,7 +6,7 @@
 // cells short-circuit on result hits with byte-identical payloads.
 //
 // Consumers:
-//   * sweep::run (sweep/sweep.hpp) consults it beneath the in-memory memos
+//   * sweep::run (sweep/sweep.hpp) consults it beneath its session memo
 //     when sweep::Options::cache is set.
 //   * technique::Registry::compile has a cached overload for one-off
 //     compiles through the registry front door.
@@ -86,6 +86,10 @@ class CompilationCache {
   }
   [[nodiscard]] bool has_disk_tier() const noexcept {
     return store_.has_disk_tier();
+  }
+  /// The memory-tier budget (CacheOptions::max_memory_bytes).
+  [[nodiscard]] std::size_t max_memory_bytes() const noexcept {
+    return store_.max_memory_bytes();
   }
 
  private:

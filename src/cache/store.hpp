@@ -111,6 +111,9 @@ class Store {
   [[nodiscard]] bool has_disk_tier() const noexcept {
     return !options_.directory.empty();
   }
+  [[nodiscard]] std::size_t max_memory_bytes() const noexcept {
+    return options_.max_memory_bytes;
+  }
 
   /// One row per distinct on-disk entry (from the index, falling back to a
   /// directory scan when the index is missing), existence-checked.

@@ -83,8 +83,9 @@ void print_accounting(std::FILE* log, std::size_t artifacts,
                static_cast<unsigned long long>(totals.result_cache_misses),
                hit_rate,
                static_cast<unsigned long long>(totals.placement_disk_hits));
-  std::fprintf(log, "anneals: %llu\n",
-               static_cast<unsigned long long>(totals.anneals));
+  std::fprintf(log, "anneals: %llu   placement memo hits: %llu\n",
+               static_cast<unsigned long long>(totals.anneals),
+               static_cast<unsigned long long>(totals.placement_memo_hits));
   std::fprintf(log, "sweep wall: %.1fs   session wall: %.1fs\n",
                totals.sweep_seconds, session_seconds);
 }
@@ -93,8 +94,8 @@ void print_server_stats(std::FILE* log, const serve::SessionStats& stats) {
   std::fprintf(
       log,
       "server session: %llu requests, %llu cells executed (%llu failed), "
-      "result cache %llu/%llu, placement cache %llu/%llu, anneals=%llu, "
-      "%zu threads%s, up %.1fs\n",
+      "result cache %llu/%llu, placement cache %llu/%llu, "
+      "placement memo hits: %llu, anneals=%llu, %zu threads%s, up %.1fs\n",
       static_cast<unsigned long long>(stats.requests),
       static_cast<unsigned long long>(stats.cells_executed),
       static_cast<unsigned long long>(stats.cells_failed),
@@ -102,6 +103,7 @@ void print_server_stats(std::FILE* log, const serve::SessionStats& stats) {
       static_cast<unsigned long long>(stats.result_cache_misses),
       static_cast<unsigned long long>(stats.placement_cache_hits),
       static_cast<unsigned long long>(stats.placement_cache_misses),
+      static_cast<unsigned long long>(stats.placement_memo_hits),
       static_cast<unsigned long long>(stats.anneals),
       static_cast<std::size_t>(stats.threads),
       stats.cache_enabled ? "" : ", no cache", stats.uptime_seconds);

@@ -529,6 +529,7 @@ int run_perf_snapshot(const std::string& path, const PerfOptions& options,
   serve_node["result_cache_misses"] = serve_stats.result_cache_misses;
   serve_node["placement_cache_hits"] = serve_stats.placement_cache_hits;
   serve_node["placement_cache_misses"] = serve_stats.placement_cache_misses;
+  serve_node["placement_memo_hits"] = serve_stats.placement_memo_hits;
   serve_node["anneals"] = serve_stats.anneals;
   serve_node["threads"] = serve_stats.threads;
   serve_node["cache_enabled"] = serve_stats.cache_enabled;

@@ -21,6 +21,7 @@ sweep::Result Runner::run(const shard::SweepSpec& spec) {
   totals_.result_cache_hits += result.result_cache_hits;
   totals_.result_cache_misses += result.result_cache_misses;
   totals_.placement_disk_hits += result.placement_disk_hits;
+  totals_.placement_memo_hits += result.placement_cache_hits;
   totals_.anneals += result.anneals;
   totals_.sweep_seconds += result.wall_seconds;
   return result;
@@ -30,6 +31,7 @@ sweep::Result InProcessRunner::execute(const shard::SweepSpec& spec) {
   sweep::Options options = spec.options;
   options.n_threads = config_.n_threads;
   options.cache = config_.cache;
+  options.session = session_;
   options.on_cell = on_cell_;
   if (config_.shards > 1) {
     // The multi-host campaign shape, in one process: partition the matrix,
@@ -90,6 +92,7 @@ sweep::Result ServiceRunner::execute(const shard::SweepSpec& spec) {
   result.result_cache_hits = summary.result_cache_hits;
   result.result_cache_misses = summary.result_cache_misses;
   result.placement_disk_hits = summary.placement_disk_hits;
+  result.placement_cache_hits = summary.placement_memo_hits;
   result.anneals = static_cast<std::size_t>(summary.anneals);
   result.wall_seconds = summary.wall_seconds;
   return result;

@@ -36,6 +36,9 @@ struct RunTotals {
   std::uint64_t result_cache_hits = 0;
   std::uint64_t result_cache_misses = 0;
   std::uint64_t placement_disk_hits = 0;
+  /// Placements reused from the executor's session memo, never from a
+  /// persistent cache (sweep::Result::placement_cache_hits).
+  std::uint64_t placement_memo_hits = 0;
   std::uint64_t anneals = 0;
   /// Sum of per-sweep wall clocks (the executor's compute time; the
   /// orchestrator measures end-to-end wall separately).
@@ -79,8 +82,8 @@ class InProcessRunner : public Runner {
     /// sweep::run). Byte-identical either way; this is the harness-level
     /// exerciser of the shard layer's guarantee.
     std::uint32_t shards = 1;
-    /// Persistent cache shared by every sweep of the run; null keeps pure
-    /// in-run memoization.
+    /// Persistent cache shared by every sweep of the run; null keeps only
+    /// the runner's in-memory session.
     std::shared_ptr<cache::CompilationCache> cache;
   };
 
@@ -92,6 +95,10 @@ class InProcessRunner : public Runner {
 
  private:
   Config config_;
+  /// Shared by every sweep this runner executes, so each placement is
+  /// annealed once per runner, with or without a persistent cache.
+  std::shared_ptr<sweep::Session> session_ =
+      sweep::Session::make(config_.cache.get());
 };
 
 /// Runs specs through an in-process SweepService session (submit + stream +

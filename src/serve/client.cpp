@@ -185,6 +185,7 @@ ClientOutcome Client::run(
   outcome.result.result_cache_hits = outcome.summary.result_cache_hits;
   outcome.result.result_cache_misses = outcome.summary.result_cache_misses;
   outcome.result.placement_disk_hits = outcome.summary.placement_disk_hits;
+  outcome.result.placement_cache_hits = outcome.summary.placement_memo_hits;
   outcome.result.anneals = static_cast<std::size_t>(outcome.summary.anneals);
   outcome.result.wall_seconds = outcome.summary.wall_seconds;
   return outcome;

@@ -62,7 +62,8 @@ class ServeError : public std::runtime_error {
 ///     STOP (graceful session drain) request verb.
 /// v4: frames use the shared 32-byte envelope; the request id moved from
 ///     the header into the first 8 payload bytes (frame sizes unchanged).
-inline constexpr std::uint32_t kServeVersion = 4;
+/// v5: Summary and SessionStats count session placement memo hits.
+inline constexpr std::uint32_t kServeVersion = 5;
 
 enum class FrameType : std::uint32_t {
   kCell = 1,
@@ -108,6 +109,10 @@ struct SessionStats {
   std::uint64_t result_cache_misses = 0;
   std::uint64_t placement_cache_hits = 0;
   std::uint64_t placement_cache_misses = 0;
+  /// v5: placements the requests reused from the service's in-memory
+  /// sweep::Session (cache or no cache) rather than the disk tier or an
+  /// anneal — the sum of the requests' Summary::placement_memo_hits.
+  std::uint64_t placement_memo_hits = 0;
   /// Graphine anneals the session actually paid for across all requests.
   std::uint64_t anneals = 0;
   std::uint64_t threads = 0;
@@ -124,7 +129,8 @@ template <util::FieldsOf<SessionStats> Options, typename Visit>
 constexpr void for_each_field(Options&& o, Visit&& visit) {
   visit(o.requests, o.cells_executed, o.cells_failed, o.result_cache_hits,
         o.result_cache_misses, o.placement_cache_hits,
-        o.placement_cache_misses, o.anneals, o.threads, o.cache_enabled,
+        o.placement_cache_misses, o.placement_memo_hits, o.anneals, o.threads,
+        o.cache_enabled,
         o.uptime_seconds);
 }
 
@@ -139,6 +145,9 @@ struct Summary {
   std::uint64_t result_cache_hits = 0;
   std::uint64_t result_cache_misses = 0;
   std::uint64_t placement_disk_hits = 0;
+  /// Placements reused from the session memo (sweep::Result::
+  /// placement_cache_hits) — a separate tally from placement_disk_hits.
+  std::uint64_t placement_memo_hits = 0;
   /// Graphine anneals this request actually paid for — 0 for a request
   /// fully served from the session cache.
   std::uint64_t anneals = 0;
@@ -156,7 +165,8 @@ template <util::FieldsOf<Summary> Options, typename Visit>
 constexpr void for_each_field(Options&& o, Visit&& visit) {
   visit(o.total_cells, o.executed_cells, o.failed_cells, o.cancelled_cells,
         o.result_cache_hits, o.result_cache_misses, o.placement_disk_hits,
-        o.anneals, o.cancelled, o.wall_seconds, o.error);
+        o.placement_memo_hits, o.anneals, o.cancelled, o.wall_seconds,
+        o.error);
 }
 
 // --- request lines (client -> server) -----------------------------------------

@@ -137,6 +137,8 @@ void SweepService::dispatch_loop() {
                               std::memory_order_relaxed);
     cells_failed_.fetch_add(summary.failed_cells, std::memory_order_relaxed);
     anneals_.fetch_add(summary.anneals, std::memory_order_relaxed);
+    placement_memo_hits_.fetch_add(summary.placement_memo_hits,
+                                   std::memory_order_relaxed);
     {
       std::lock_guard lock(accounts_mutex_);
       ClientAccount& account = accounts_[ticket->client_id_];
@@ -158,6 +160,8 @@ SessionStats SweepService::session_stats() const {
   stats.cells_executed = cells_executed_.load(std::memory_order_relaxed);
   stats.cells_failed = cells_failed_.load(std::memory_order_relaxed);
   stats.anneals = anneals_.load(std::memory_order_relaxed);
+  stats.placement_memo_hits =
+      placement_memo_hits_.load(std::memory_order_relaxed);
   stats.threads = pool_.size();
   if (options_.cache) {
     stats.cache_enabled = true;
@@ -199,6 +203,7 @@ Summary SweepService::execute(Ticket& ticket) {
   sweep::Options options = ticket.spec_.options;
   options.pool = &pool_;
   options.cache = options_.cache;
+  options.session = session_;
   options.on_cell = ticket.on_cell_;
   options.cancel = ticket.token_;
   // Per-request anneal ledger: the run increments it at each anneal it
@@ -217,6 +222,7 @@ Summary SweepService::execute(Ticket& ticket) {
     summary.result_cache_hits = result.result_cache_hits;
     summary.result_cache_misses = result.result_cache_misses;
     summary.placement_disk_hits = result.placement_disk_hits;
+    summary.placement_memo_hits = result.placement_cache_hits;
     summary.wall_seconds = result.wall_seconds;
     for (const auto& cell : result.cells) {
       if (cell.cancelled) {

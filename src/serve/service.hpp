@@ -7,9 +7,10 @@
 // across the session (and across restarts, through its disk tier). A
 // request that overlaps an earlier one is served from whole-cell result
 // hits — zero anneals, byte-identical cells — and the cache's in-memory LRU
-// doubles as the hot working set. Cancellation is cooperative and cheap:
-// cells not yet started never run, so aborting an in-flight request costs
-// at most one cell's compile time.
+// doubles as the hot working set. Beneath the cache, one sweep::Session
+// shares annealed placements across every request, cache or no cache.
+// Cancellation is cooperative and cheap: cells not yet started never run,
+// so aborting an in-flight request costs at most one cell's compile time.
 //
 // Execution model: requests run one at a time on a dedicated dispatcher
 // thread; each request's cells fan out across the shared pool. Serializing
@@ -45,8 +46,10 @@ namespace parallax::serve {
 struct ServiceOptions {
   /// Persistent worker threads; 0 selects hardware concurrency.
   std::size_t n_threads = 0;
-  /// The session state. Null serves every request cold (still correct —
-  /// only the overlap-replay property is lost).
+  /// The persistent session state. Null keeps only the service's
+  /// in-memory placement memo: a repeated request anneals nothing but
+  /// recompiles every cell (no whole-cell replay, nothing survives a
+  /// restart).
   std::shared_ptr<cache::CompilationCache> cache;
 };
 
@@ -129,11 +132,11 @@ class SweepService {
   [[nodiscard]] std::size_t threads() const noexcept { return pool_.size(); }
 
   /// Session-wide accounting since construction: completed requests, cells
-  /// executed/failed, anneals paid, the session cache's own hit/miss
-  /// counters, and one ClientStats row per registered client (ascending
-  /// client_id; connection-level fields left zero — the server overlays
-  /// those, since only it knows about sockets). Callable from any thread
-  /// while a sweep is in flight.
+  /// executed/failed, anneals paid, placement memo hits, the session
+  /// cache's own hit/miss counters, and one ClientStats row per registered
+  /// client (ascending client_id; connection-level fields left zero — the
+  /// server overlays those, since only it knows about sockets). Callable
+  /// from any thread while a sweep is in flight.
   [[nodiscard]] SessionStats session_stats() const;
 
  private:
@@ -155,6 +158,9 @@ class SweepService {
   ServiceOptions options_;
   const technique::Registry& registry_;
   util::ThreadPool pool_;
+  /// Placements shared by every request of the session.
+  const std::shared_ptr<sweep::Session> session_ =
+      sweep::Session::make(options_.cache.get());
   const std::chrono::steady_clock::time_point started_ =
       std::chrono::steady_clock::now();
 
@@ -163,6 +169,7 @@ class SweepService {
   std::atomic<std::uint64_t> cells_executed_{0};
   std::atomic<std::uint64_t> cells_failed_{0};
   std::atomic<std::uint64_t> anneals_{0};
+  std::atomic<std::uint64_t> placement_memo_hits_{0};
 
   mutable std::mutex accounts_mutex_;
   std::map<std::uint64_t, ClientAccount> accounts_;

@@ -54,9 +54,10 @@ struct CellRange {
 
 /// The deterministic partition: contiguous balanced ranges in flat order
 /// (the first `total % count` shards get one extra cell). Contiguity keeps
-/// a circuit's cells on as few shards as possible — the in-run memos then
+/// a circuit's cells on as few shards as possible — the run's memos then
 /// share transpilation/placements within a shard, and the persistent cache
-/// carries them across the few boundary crossings. Throws ShardError when
+/// (or, in one process, a shared sweep::Session) carries them across the
+/// few boundary crossings. Throws ShardError when
 /// count == 0 or index >= count.
 [[nodiscard]] CellRange shard_cell_range(std::size_t total_cells,
                                          std::uint32_t shard_count,

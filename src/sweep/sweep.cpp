@@ -2,9 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <future>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -25,47 +22,6 @@ namespace parallax::sweep {
 namespace {
 
 using util::Stopwatch;
-
-/// Thread-safe memo keyed by a digest of its inputs. The first caller of a
-/// key computes the value; concurrent callers of the same key wait on its
-/// shared_future, so no placement is ever annealed twice.
-template <typename V>
-class Memo {
- public:
-  /// The reference is into the memo's shared state and stays valid for the
-  /// memo's lifetime.
-  const V& get(const cache::Digest128& key, const std::function<V()>& compute,
-               std::size_t* hits, std::size_t* misses) {
-    std::shared_future<V> future;
-    bool owner = false;
-    std::promise<V> promise;
-    {
-      std::lock_guard lock(mutex_);
-      auto it = futures_.find(key);
-      if (it == futures_.end()) {
-        owner = true;
-        future = promise.get_future().share();
-        futures_.emplace(key, future);
-        ++*misses;
-      } else {
-        future = it->second;
-        ++*hits;
-      }
-    }
-    if (owner) {
-      try {
-        promise.set_value(compute());
-      } catch (...) {
-        promise.set_exception(std::current_exception());
-      }
-    }
-    return future.get();
-  }
-
- private:
-  std::mutex mutex_;
-  std::map<cache::Digest128, std::shared_future<V>> futures_;
-};
 
 /// Overwrites the timing entry of `pass_name` (when present) with the cost
 /// the sweep driver actually paid for that stage outside the pipeline —
@@ -104,6 +60,18 @@ std::vector<CircuitSpec> all_benchmark_circuits(
     acronyms.push_back(info.acronym);
   }
   return benchmark_circuits(acronyms, gen);
+}
+
+Session::Session(std::size_t max_memory_bytes)
+    : placements(max_memory_bytes, [](const placement::Topology& topology) {
+        return sizeof(placement::Topology) +
+               topology.positions.size() * sizeof(geom::Point);
+      }) {}
+
+std::shared_ptr<Session> Session::make(const cache::CompilationCache* cache) {
+  return cache != nullptr
+             ? std::make_shared<Session>(cache->max_memory_bytes())
+             : std::make_shared<Session>();
 }
 
 const Cell& Result::at(std::string_view circuit, std::string_view technique,
@@ -145,15 +113,16 @@ Result run(const std::vector<CircuitSpec>& circuits,
   // cell with the same transpile options — the paper's Qiskit-preprocessing
   // methodology.
   Memo<circuit::Circuit> transpiled_memo;
-  Memo<placement::Topology> placement_memo;
-  // Content fingerprints of effective input circuits (persistent-cache keys
-  // are content-addressed, never index-based, so they survive reordering of
-  // the sweep matrix across runs).
+  MemoCounters transpile_counters;
+  // Content fingerprints of effective input circuits (placement and result
+  // keys are content-addressed, never index-based, so they hold across
+  // sweeps and across reorderings of the sweep matrix).
   Memo<cache::Digest128> fingerprint_memo;
-  std::size_t fingerprint_hits = 0;  // accounting only; not reported
-  std::size_t fingerprint_misses = 0;
 
   cache::CompilationCache* const persistent = options.cache.get();
+  const std::shared_ptr<Session> session =
+      options.session != nullptr ? options.session : Session::make(persistent);
+  MemoCounters placement_counters;
   std::atomic<std::size_t> placement_disk_hits{0};
   std::atomic<std::size_t> result_cache_hits{0};
   std::atomic<std::size_t> result_cache_misses{0};
@@ -203,6 +172,7 @@ Result run(const std::vector<CircuitSpec>& circuits,
       // per-circuit seed derivation is unchanged. The key is the circuit's
       // matrix index plus, when it is transpiled here, every
       // TranspileOptions field.
+      std::shared_ptr<const circuit::Circuit> transpiled;
       const circuit::Circuit* input = &spec.circuit;
       cache::Fingerprinter input_fields;
       input_fields.u64(ci);
@@ -216,27 +186,29 @@ Result run(const std::vector<CircuitSpec>& circuits,
       if (!opts.assume_transpiled) {
         bool transpiled_here = false;
         const Stopwatch transpile_watch;
-        input = &transpiled_memo.get(
+        transpiled = transpiled_memo.get(
             input_key,
             [&, transpile_options = opts.transpile] {
               transpiled_here = true;
               return circuit::transpile(spec.circuit, transpile_options);
             },
-            &sweep_result.transpile_cache_hits,
-            &sweep_result.transpile_cache_misses);
+            &transpile_counters);
+        input = transpiled.get();
         transpile_seconds = transpile_watch.seconds();
         transpile_shared = !transpiled_here;
         opts.assume_transpiled = true;
       }
 
-      // Content fingerprint of the effective input, shared per input_key.
-      // Only needed (and only computed) when a persistent cache is wired in.
-      const cache::Digest128* input_fp = nullptr;
-      if (persistent != nullptr) {
-        input_fp = &fingerprint_memo.get(
-            input_key, [&] { return cache::fingerprint(*input); },
-            &fingerprint_hits, &fingerprint_misses);
-      }
+      // Content fingerprint of the effective input, shared per input_key and
+      // computed only for the result or placement keys that need it.
+      std::shared_ptr<const cache::Digest128> input_fp;
+      const auto input_fingerprint = [&]() -> const cache::Digest128& {
+        if (input_fp == nullptr) {
+          input_fp = fingerprint_memo.get(
+              input_key, [&] { return cache::fingerprint(*input); });
+        }
+        return *input_fp;
+      };
 
       const pipeline::Pipeline pl = registry.make_pipeline(cell.technique,
                                                            opts);
@@ -250,7 +222,8 @@ Result run(const std::vector<CircuitSpec>& circuits,
       const bool use_results = persistent != nullptr && options.reuse_results;
       if (use_results) {
         cell_key = cache::result_key(
-            *input_fp, cell.technique, pl.pass_names(), machine.config, opts,
+            input_fingerprint(), cell.technique, pl.pass_names(),
+            machine.config, opts,
             options.compute_success_probability ? &options.noise : nullptr,
             options.shots ? &*options.shots : nullptr);
         if (auto hit = persistent->get_result(cell_key)) {
@@ -291,23 +264,21 @@ Result run(const std::vector<CircuitSpec>& circuits,
             input->n_qubits() <= popts.max_window_qubits) {
           popts.max_window_qubits = 0;
         }
-        // Keyed by the effective input plus every GraphineOptions field, so
-        // cells whose inputs or placement options diverge never share one.
-        cache::Fingerprinter placement_fields;
-        placement_fields.digest(input_key);
-        cache::write_fields(placement_fields, popts);
+        // Keyed by the effective input's content plus every GraphineOptions
+        // field, so cells whose inputs or placement options diverge never
+        // share one — in this run or any other sharing the session.
+        const cache::Digest128 key =
+            cache::placement_key(input_fingerprint(), popts);
         const Stopwatch placement_watch;
-        opts.preset_topology = placement_memo.get(
-            placement_fields.finish(),
+        opts.preset_topology = *session->placements.get(
+            key,
             [&] {
-              // The in-run memo missed: consult the persistent disk tier
+              // The session memo missed: consult the persistent disk tier
               // before paying for an anneal, and persist fresh anneals so
               // no future run repeats them.
               placement_memo_hit = false;
               placement::PlacementStats stats;
-              cache::Digest128 key;
               if (persistent != nullptr) {
-                key = cache::placement_key(*input_fp, popts);
                 if (auto stored = persistent->get_placement(key)) {
                   placement_disk_hits.fetch_add(1, std::memory_order_relaxed);
                   return std::move(*stored);
@@ -359,10 +330,9 @@ Result run(const std::vector<CircuitSpec>& circuits,
               }
               return topology;
             },
-            &sweep_result.placement_cache_hits,
-            &sweep_result.placement_cache_misses);
+            &placement_counters);
         // A memo hit did no placement work: its time was spent blocked on
-        // (or copying) the placement a sibling cell computed.
+        // (or copying) the placement a sibling cell or earlier run computed.
         if (placement_memo_hit) {
           placement_wait_seconds = placement_watch.seconds();
         } else {
@@ -467,6 +437,10 @@ Result run(const std::vector<CircuitSpec>& circuits,
       break;
     }
   }
+  sweep_result.placement_cache_hits = placement_counters.hits.load();
+  sweep_result.placement_cache_misses = placement_counters.misses.load();
+  sweep_result.transpile_cache_hits = transpile_counters.hits.load();
+  sweep_result.transpile_cache_misses = transpile_counters.misses.load();
   sweep_result.placement_disk_hits = placement_disk_hits.load();
   sweep_result.result_cache_hits = result_cache_hits.load();
   sweep_result.result_cache_misses = result_cache_misses.load();

@@ -8,11 +8,14 @@
 //   * Determinism: a cell's result depends only on (circuit, technique,
 //     machine, options) — never on thread count or completion order. Every
 //     seed derives from (master seed, circuit name, stage salt).
-//   * Shared work: each circuit is transpiled once, and the Graphine
-//     annealed placement is memoized per (circuit, placement options), so
-//     techniques that share Step 1 (parallax, graphine) and machine variants
-//     of the same circuit never recompute it — exactly the paper's
-//     methodology of reusing placements across techniques.
+//   * Shared work: each circuit is transpiled once per run, and the
+//     Graphine annealed placement is memoized per (circuit content,
+//     placement options) in a Session that may outlive the run, so
+//     techniques that share Step 1 (parallax, graphine), machine variants
+//     of the same circuit and later sweeps handed the same session never
+//     recompute it — exactly the paper's methodology of reusing placements
+//     across techniques. Which run anneals a shared placement never changes
+//     a cell's result, only which run's anneal count it is charged to.
 //   * Isolation: a cell that fails to compile reports its error string;
 //     the rest of the sweep completes.
 #pragma once
@@ -31,7 +34,9 @@
 #include "hardware/config.hpp"
 #include "noise/model.hpp"
 #include "pipeline/pipeline.hpp"
+#include "placement/graphine.hpp"
 #include "shots/parallelize.hpp"
+#include "sweep/memo.hpp"
 #include "technique/registry.hpp"
 
 namespace parallax::util {
@@ -63,6 +68,26 @@ struct MachineSpec {
   hardware::HardwareConfig config;
 };
 
+/// Work shared by every sweep::run handed the same session: the Graphine
+/// placements, single-flight and keyed by cache::placement_key (the
+/// effective input's content fingerprint plus every GraphineOptions field),
+/// so one placement is annealed once per session however many sweeps, in
+/// whatever order, ask for it. The lookup order is session memo, then the
+/// persistent cache's disk tier, then an anneal. Bounded by a memory budget
+/// (completed placements evicted least-recently-used), so a long-lived
+/// serve session stays small. Thread-safe.
+class Session {
+ public:
+  explicit Session(
+      std::size_t max_memory_bytes = cache::CacheOptions{}.max_memory_bytes);
+
+  /// A session bounded by `cache`'s memory budget (the default when null).
+  [[nodiscard]] static std::shared_ptr<Session> make(
+      const cache::CompilationCache* cache);
+
+  Memo<placement::Topology> placements;
+};
+
 struct Options {
   /// Base compile options for every cell (seed, spreads, scheduler knobs).
   pipeline::CompileOptions compile{};
@@ -83,10 +108,10 @@ struct Options {
                      const std::string& machine,
                      pipeline::CompileOptions& options)>
       customize;
-  /// Persistent compilation cache. When set, the in-run transpile/placement
-  /// memos consult and populate its disk tier (a rerun anneals nothing that
-  /// any earlier run annealed), and whole cells short-circuit on result
-  /// hits. Null (the default) keeps pure in-run memoization.
+  /// Persistent compilation cache. When set, session placement memo misses
+  /// consult and populate its disk tier (a rerun anneals nothing that any
+  /// earlier run annealed), and whole cells short-circuit on result hits.
+  /// Null (the default) keeps pure in-memory sharing.
   std::shared_ptr<cache::CompilationCache> cache;
   /// With `cache` set, serve whole cells from cached CompileResults
   /// (incremental sweeps: a rerun only recompiles cells whose fingerprints
@@ -123,6 +148,11 @@ struct Options {
   /// from one of the pool's own worker threads (the fan-out blocks its
   /// caller). Runtime-only.
   util::ThreadPool* pool = nullptr;
+  /// Placement sharing across runs: runs handed the same session anneal
+  /// each placement once between them. Null gives this run a private
+  /// session (bounded by `cache`'s memory budget), which shares placements
+  /// only among its own cells. Runtime-only, like on_cell.
+  std::shared_ptr<Session> session;
   /// Per-run anneal accounting. When set, incremented once per Graphine
   /// anneal this run actually pays for (never for memo, disk, or preset
   /// placements), and Result::anneals reports the same delta — so callers
@@ -174,13 +204,15 @@ struct Result {
   /// Options::cancel fired before every cell completed; cells carry
   /// per-cell `cancelled` flags.
   bool cancelled = false;
+  /// This run's lookups into the session placement memo: hits reused a
+  /// placement this run or an earlier one sharing the session computed.
   std::size_t placement_cache_hits = 0;
   std::size_t placement_cache_misses = 0;
   std::size_t transpile_cache_hits = 0;
   std::size_t transpile_cache_misses = 0;
   /// Persistent-cache accounting (all zero when Options::cache is null).
   /// Placements loaded from the disk tier instead of annealed — a subset of
-  /// placement_cache_misses (the in-run memo missed, the store hit).
+  /// placement_cache_misses (the session memo missed, the store hit).
   std::size_t placement_disk_hits = 0;
   /// Cells served whole from cached CompileResults / cells compiled and
   /// stored.

@@ -223,6 +223,43 @@ TEST(Runner, WarmRerunReportsFullHitsAndZeroAnneals) {
   EXPECT_EQ(after_warm.failed_cells, 0u);
 }
 
+TEST(Runner, SessionAnnealsEachPlacementOnceAcrossArtifacts) {
+  // No persistent cache: the runner's session alone shares the placements
+  // fig09 and fig10 have in common. It anneals exactly as often as fresh
+  // runners filling one cold cache directory do, strictly less than fresh
+  // cacheless runners, and renders the same documents.
+  const rp::Options options = small_options();
+  const auto dir_cache =
+      pc::CompilationCache::open({.directory = fresh_dir("session")});
+  rp::InProcessRunner session_runner;
+  std::uint64_t dir_anneals = 0;
+  std::uint64_t fresh_anneals = 0;
+  for (const std::string name : {"fig09", "fig10"}) {
+    const rp::Artifact& artifact = rp::Registry::global().at(name);
+    rp::InProcessRunner::Config config;
+    config.cache = dir_cache;
+    rp::InProcessRunner through_dir(std::move(config));
+    rp::InProcessRunner fresh;
+    const std::string document = render_via(session_runner, artifact, options);
+    EXPECT_EQ(document, render_via(through_dir, artifact, options)) << name;
+    EXPECT_EQ(document, render_via(fresh, artifact, options)) << name;
+    dir_anneals += through_dir.totals().anneals;
+    fresh_anneals += fresh.totals().anneals;
+  }
+  const rp::RunTotals totals = session_runner.totals();
+  EXPECT_EQ(totals.anneals, dir_anneals);
+  EXPECT_LT(totals.anneals, fresh_anneals);
+  EXPECT_GT(totals.placement_memo_hits, 0u);
+  EXPECT_EQ(totals.placement_disk_hits, 0u);
+  EXPECT_EQ(totals.result_cache_hits + totals.result_cache_misses, 0u);
+
+  // A second pass over both artifacts anneals nothing more.
+  for (const std::string name : {"fig09", "fig10"}) {
+    (void)render_via(session_runner, rp::Registry::global().at(name), options);
+  }
+  EXPECT_EQ(session_runner.totals().anneals, totals.anneals);
+}
+
 TEST(Runner, OnCellStreamsEveryExecutedCell) {
   const rp::Options options = small_options();
   rp::InProcessRunner runner;

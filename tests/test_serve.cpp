@@ -276,6 +276,7 @@ TEST(ServeProtocol, FramesRoundTrip) {
   summary.executed_cells = 4;
   summary.cancelled_cells = 2;
   summary.result_cache_hits = 3;
+  summary.placement_memo_hits = 2;
   summary.anneals = 1;
   summary.cancelled = true;
   summary.wall_seconds = 1.5;
@@ -288,6 +289,8 @@ TEST(ServeProtocol, FramesRoundTrip) {
   EXPECT_EQ(done_parsed.type, sv::FrameType::kDone);
   EXPECT_EQ(done_parsed.summary.total_cells, 6u);
   EXPECT_EQ(done_parsed.summary.cancelled_cells, 2u);
+  EXPECT_EQ(done_parsed.summary.placement_memo_hits, 2u);
+  EXPECT_EQ(done_parsed.summary.anneals, 1u);
   EXPECT_TRUE(done_parsed.summary.cancelled);
   EXPECT_EQ(done_parsed.summary.error, "nope");
 
@@ -406,6 +409,41 @@ TEST(SweepService, WarmRepeatStreamsIdenticalCellsWithZeroAnneals) {
   EXPECT_EQ(sh::canonical_bytes(assemble(spec, collector.cells)),
             sh::canonical_bytes(reference));
   for (const auto& cell : collector.cells) EXPECT_TRUE(cell.from_cache);
+}
+
+TEST(SweepService, CachelessRepeatAnnealsNothing) {
+  // No persistent cache: the service's session memo still shares every
+  // placement across requests, so a repeat recompiles its cells (no result
+  // replay) without a single anneal, and its bytes do not move.
+  const sh::SweepSpec spec = small_spec();
+  const sw::Result reference =
+      sw::run(spec.circuits, spec.techniques, spec.machines, spec.options);
+
+  sv::ServiceOptions service_options;
+  service_options.n_threads = 2;
+  sv::SweepService service(service_options);
+
+  const sv::Summary cold = service.submit(spec)->wait();
+  ASSERT_TRUE(cold.ok()) << cold.error;
+  EXPECT_EQ(cold.anneals, reference.anneals);
+
+  CellCollector collector;
+  const sv::Summary repeat =
+      service.submit(spec, collector.callback())->wait();
+  ASSERT_TRUE(repeat.ok()) << repeat.error;
+  EXPECT_EQ(repeat.anneals, 0u);
+  EXPECT_EQ(repeat.result_cache_hits, 0u);
+  EXPECT_EQ(repeat.placement_disk_hits, 0u);
+  EXPECT_EQ(repeat.placement_memo_hits,
+            reference.placement_cache_hits + reference.placement_cache_misses);
+  EXPECT_EQ(sh::canonical_bytes(assemble(spec, collector.cells)),
+            sh::canonical_bytes(reference));
+
+  const sv::SessionStats stats = service.session_stats();
+  EXPECT_FALSE(stats.cache_enabled);
+  EXPECT_EQ(stats.anneals, cold.anneals);
+  EXPECT_EQ(stats.placement_memo_hits,
+            cold.placement_memo_hits + repeat.placement_memo_hits);
 }
 
 TEST(SweepService, OverlappingSubmissionsShareOneColdCompile) {
@@ -672,6 +710,7 @@ TEST(ServeProtocol, StatsFrameRoundTrips) {
   stats.result_cache_misses = 12;
   stats.placement_cache_hits = 7;
   stats.placement_cache_misses = 5;
+  stats.placement_memo_hits = 9;
   stats.anneals = 5;
   stats.threads = 4;
   stats.cache_enabled = true;
@@ -690,6 +729,7 @@ TEST(ServeProtocol, StatsFrameRoundTrips) {
   EXPECT_EQ(decoded.stats.result_cache_misses, 12u);
   EXPECT_EQ(decoded.stats.placement_cache_hits, 7u);
   EXPECT_EQ(decoded.stats.placement_cache_misses, 5u);
+  EXPECT_EQ(decoded.stats.placement_memo_hits, 9u);
   EXPECT_EQ(decoded.stats.anneals, 5u);
   EXPECT_EQ(decoded.stats.threads, 4u);
   EXPECT_TRUE(decoded.stats.cache_enabled);

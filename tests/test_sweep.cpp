@@ -5,11 +5,16 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "bench_circuits/registry.hpp"
 #include "cache/cache.hpp"
+#include "cache/fingerprint.hpp"
 #include "circuit/circuit.hpp"
+#include "circuit/transpile.hpp"
 #include "hardware/config.hpp"
 #include "shard/shard.hpp"
 #include "sweep/sweep.hpp"
@@ -19,6 +24,7 @@ namespace pc = parallax::circuit;
 namespace ph = parallax::hardware;
 namespace pp = parallax::pipeline;
 namespace pt = parallax::technique;
+namespace sh = parallax::shard;
 namespace sw = parallax::sweep;
 
 namespace {
@@ -222,8 +228,21 @@ TEST(Sweep, PlacementMemoKeysOnEffectiveInputCircuit) {
   const auto circuits = small_circuits();
   const auto swept = sw::run(circuits, {"parallax", "graphine"},
                              {{config.name, config}}, options);
-  EXPECT_EQ(swept.placement_cache_misses, 2 * circuits.size());
-  EXPECT_EQ(swept.placement_cache_hits, 0u);
+  // Placements are keyed by content: a circuit the fusion flag leaves
+  // unchanged shares one placement between the techniques, every other
+  // circuit gets one per technique.
+  std::set<parallax::cache::Digest128> inputs;
+  for (const auto& spec : circuits) {
+    for (const std::string technique : {"parallax", "graphine"}) {
+      auto compile = options.compile;
+      options.customize(spec.name, technique, config.name, compile);
+      inputs.insert(parallax::cache::fingerprint(
+          pc::transpile(spec.circuit, compile.transpile)));
+    }
+  }
+  ASSERT_GT(inputs.size(), circuits.size());
+  EXPECT_EQ(swept.placement_cache_misses, inputs.size());
+  EXPECT_EQ(swept.placement_cache_hits, 2 * circuits.size() - inputs.size());
   for (const auto& cell : swept.cells) {
     ASSERT_TRUE(cell.ok()) << cell.error;
     auto direct_options = options.compile;
@@ -296,6 +315,143 @@ TEST(Sweep, SharePlacementsDisabledStillMatches) {
                                 {{config.name, config}}, options);
   EXPECT_EQ(unshared.placement_cache_misses, 0u);
   expect_same_cells(shared, unshared);
+}
+
+// --- session placement memo --------------------------------------------------
+
+TEST(Sweep, SessionSharesPlacementsAcrossRuns) {
+  const auto config = ph::HardwareConfig::quera_aquila_256();
+  const std::vector<std::string> techniques = {"parallax", "graphine"};
+  auto options = fast_sweep_options();
+  const auto sessionless = sw::run(small_circuits(), techniques,
+                                   {{config.name, config}}, options);
+
+  options.session = std::make_shared<sw::Session>();
+  const auto first = sw::run(small_circuits(), techniques,
+                             {{config.name, config}}, options);
+  const auto second = sw::run(small_circuits(), techniques,
+                              {{config.name, config}}, options);
+  EXPECT_EQ(first.anneals, small_circuits().size());
+  EXPECT_EQ(second.anneals, 0u);
+  EXPECT_EQ(second.placement_cache_misses, 0u);
+  EXPECT_EQ(second.placement_cache_hits, second.cells.size());
+  EXPECT_EQ(sh::canonical_bytes(first), sh::canonical_bytes(sessionless));
+  EXPECT_EQ(sh::canonical_bytes(second), sh::canonical_bytes(sessionless));
+}
+
+TEST(Sweep, SharedSessionIsThreadCountInvariant) {
+  // Two overlapping specs through one session: the anneal split between
+  // the runs and every byte must not depend on the thread count.
+  const auto config = ph::HardwareConfig::quera_aquila_256();
+  const auto circuits = small_circuits();
+  const std::vector<sw::CircuitSpec> overlap = {circuits[2], circuits[0]};
+  std::vector<std::size_t> anneals[2];
+  std::vector<std::string> bytes[2];
+  for (const std::size_t threads : {1u, 4u}) {
+    const std::size_t k = threads == 1 ? 0 : 1;
+    auto options = fast_sweep_options();
+    options.n_threads = threads;
+    options.session = std::make_shared<sw::Session>();
+    for (const auto* spec : {&circuits, &overlap}) {
+      const auto result = sw::run(*spec, {"parallax", "graphine", "static"},
+                                  {{config.name, config}}, options);
+      anneals[k].push_back(result.anneals);
+      bytes[k].push_back(sh::canonical_bytes(result));
+    }
+  }
+  EXPECT_EQ(anneals[0], (std::vector<std::size_t>{circuits.size(), 0}));
+  EXPECT_EQ(anneals[0], anneals[1]);
+  EXPECT_EQ(bytes[0], bytes[1]);
+}
+
+TEST(Sweep, SharePlacementsFalseBypassesTheSession) {
+  const auto config = ph::HardwareConfig::quera_aquila_256();
+  auto options = fast_sweep_options();
+  options.session = std::make_shared<sw::Session>();
+  const auto shared = sw::run(small_circuits(), {"parallax", "graphine"},
+                              {{config.name, config}}, options);
+  ASSERT_EQ(options.session->placements.size(), small_circuits().size());
+
+  options.share_placements = false;
+  const auto unshared = sw::run(small_circuits(), {"parallax", "graphine"},
+                                {{config.name, config}}, options);
+  // Every cell anneals its own placement inside its pipeline, although the
+  // session already holds every one of them.
+  EXPECT_EQ(unshared.anneals, unshared.cells.size());
+  EXPECT_EQ(unshared.placement_cache_hits, 0u);
+  EXPECT_EQ(unshared.placement_cache_misses, 0u);
+  EXPECT_EQ(options.session->placements.size(), small_circuits().size());
+  expect_same_cells(shared, unshared);
+}
+
+TEST(SessionMemo, ThrowingComputeLeavesNoEntry) {
+  sw::Session session;
+  const parallax::cache::Digest128 key{1, 2};
+  sw::MemoCounters counters;
+  std::thread waiter;
+  std::string waiter_error;
+  bool waiter_computed = false;
+  EXPECT_THROW(
+      (void)session.placements.get(
+          key,
+          [&]() -> parallax::placement::Topology {
+            // A second caller blocks on the in-flight key; once it is
+            // counted as a hit, the owner fails.
+            waiter = std::thread([&] {
+              try {
+                (void)session.placements.get(
+                    key,
+                    [&] {
+                      waiter_computed = true;
+                      return parallax::placement::Topology{};
+                    },
+                    &counters);
+              } catch (const std::runtime_error& error) {
+                waiter_error = error.what();
+              }
+            });
+            while (counters.hits.load() == 0) std::this_thread::yield();
+            throw std::runtime_error("transient");
+          },
+          &counters),
+      std::runtime_error);
+  waiter.join();
+  EXPECT_EQ(waiter_error, "transient");  // the waiter shares the failure
+  EXPECT_FALSE(waiter_computed);
+  EXPECT_EQ(session.placements.size(), 0u);
+
+  // A later caller retries instead of replaying the stored exception.
+  parallax::placement::Topology good;
+  good.positions = {{0.25, 0.75}};
+  const auto value = session.placements.get(key, [&] { return good; },
+                                            &counters);
+  EXPECT_EQ(value->positions.size(), 1u);
+  EXPECT_EQ(counters.misses.load(), 2u);
+  EXPECT_EQ(counters.hits.load(), 1u);
+  EXPECT_EQ(session.placements.size(), 1u);
+}
+
+TEST(SessionMemo, EvictsCompletedEntriesPastTheBudget) {
+  parallax::placement::Topology topology;
+  topology.positions.assign(8, {0.5, 0.5});
+  // Room for two topologies of this size, not three.
+  const std::size_t one = sizeof(topology) + 8 * sizeof(topology.positions[0]);
+  sw::Session session(2 * one + one / 2);
+  int computed = 0;
+  const auto compute = [&] {
+    ++computed;
+    return topology;
+  };
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    (void)session.placements.get({k, 0}, compute);
+  }
+  EXPECT_EQ(session.placements.size(), 2u);
+  EXPECT_EQ(computed, 3);
+  (void)session.placements.get({2, 0}, compute);  // newest: still held
+  EXPECT_EQ(computed, 3);
+  (void)session.placements.get({0, 0}, compute);  // oldest: evicted
+  EXPECT_EQ(computed, 4);
+  EXPECT_EQ(session.placements.size(), 2u);
 }
 
 TEST(Sweep, UnknownTechniqueThrowsUpFront) {
