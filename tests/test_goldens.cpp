@@ -148,8 +148,8 @@ namespace {
 /// Digest of everything a schedule charges: per layer the executed gates,
 /// both movement legs, the trap changes and the duration, then the total
 /// runtime. Any change to gate order, movement or timing moves it.
-std::string schedule_digest(const parallax::compiler::CompileResult& result) {
-  parallax::cache::Fingerprinter fp;
+void feed_schedule(parallax::cache::Fingerprinter& fp,
+                   const parallax::compiler::CompileResult& result) {
   fp.u64(result.layers.size());
   for (const auto& layer : result.layers) {
     fp.u64(layer.gates.size());
@@ -160,6 +160,24 @@ std::string schedule_digest(const parallax::compiler::CompileResult& result) {
     fp.f64(layer.duration_us);
   }
   fp.f64(result.runtime_us);
+}
+
+std::string schedule_digest(const parallax::compiler::CompileResult& result) {
+  parallax::cache::Fingerprinter fp;
+  feed_schedule(fp, result);
+  return fp.finish().hex();
+}
+
+/// The schedule digest plus the CompileStats the movement engine drives.
+std::string movement_digest(const parallax::compiler::CompileResult& result) {
+  parallax::cache::Fingerprinter fp;
+  feed_schedule(fp, result);
+  const auto& stats = result.stats;
+  fp.u64(stats.aod_moves);
+  fp.u64(stats.trap_changes);
+  fp.u64(stats.slm_slm_cz);
+  fp.f64(stats.max_move_distance_um);
+  fp.f64(stats.total_move_distance_um);
   return fp.finish().hex();
 }
 
@@ -287,4 +305,69 @@ TEST(Goldens, WindowedRingScheduleIsByteStable) {
 TEST(Goldens, LegacyWindowedRingScheduleIsByteStable) {
   EXPECT_EQ(windowed_ring_digest("parallax"),
             "312d326e63f5e7937e9b141544a3051e");
+}
+
+namespace {
+
+// Movement-heavy scheduler paths the quera-256 goldens above do not reach:
+// the Fig. 12 no-return ablation (atom-1225, return_home = false), the
+// Table IV atom-1225 machine and the Fig. 13 40-line AOD on quera-256.
+// QFT, QGAN and QV also fall back to trap changes, so failed searches are
+// locked too. Recorded before the movement engine replayed repeated searches.
+struct MovementGolden {
+  const char* acronym;
+  const char* no_return;
+  const char* atom_1225;
+  const char* aod40;
+};
+
+constexpr MovementGolden kMovementGoldens[] = {
+    {"ADD", "6c0087613ac11af80ce90adaf4d51313",
+     "200d69af1b280c4556ae7c43dc361dba",
+     "200d69af1b280c4556ae7c43dc361dba"},
+    {"HSB", "489528f93d0f8b8f4c01cabc05324fa8",
+     "e2736cbfe53845a3bdb6aeee27893515",
+     "e2736cbfe53845a3bdb6aeee27893515"},
+    {"QAOA", "f98611c2488202d48d50255fa84db9bb",
+     "1a1ecbedb4d5714ae205bed48a1f37c0",
+     "1a1ecbedb4d5714ae205bed48a1f37c0"},
+    {"QFT", "805bbad58d7557d556d6c4a1749d9c99",
+     "3f1594f42892ce4a5e9c3c1cc5522192",
+     "3b2630c20c49db4ce931c266b481de28"},
+    {"QGAN", "eceb8bd222c3276732d372e97c8bf0f5",
+     "c946d209d82a2d7e5674940cea1e1e74",
+     "6a66cd5db1aac4a95d6e823b6a9ecdef"},
+    {"QV", "eb3e0223463d77ad79a31aac1fb8869c",
+     "9f5eb9f3a88dd47415acd6ce334693b4",
+     "37c3bcfa32034a56a56bdd2dba09039a"},
+    {"TFIM", "1d0277271e4682907ed5a34026b83cfa",
+     "1d0277271e4682907ed5a34026b83cfa",
+     "68d3c36bff1274995c44b738958d69e7"},
+};
+
+}  // namespace
+
+TEST(Goldens, MovementHeavySchedulesAreByteStable) {
+  namespace pb = parallax::bench_circuits;
+  namespace ph = parallax::hardware;
+  const auto atom = ph::HardwareConfig::atom_computing_1225();
+  auto aod40 = ph::HardwareConfig::quera_aquila_256();
+  aod40.aod_rows = aod40.aod_cols = 40;
+  parallax::pipeline::CompileOptions no_return;
+  no_return.scheduler.return_home = false;
+  for (const MovementGolden& golden : kMovementGoldens) {
+    const auto circuit = pb::make_benchmark(golden.acronym, {});
+    EXPECT_EQ(movement_digest(parallax::technique::compile(
+                  "parallax", circuit, atom, no_return)),
+              golden.no_return)
+        << golden.acronym << " no return";
+    EXPECT_EQ(movement_digest(
+                  parallax::technique::compile("parallax", circuit, atom)),
+              golden.atom_1225)
+        << golden.acronym << " atom-1225";
+    EXPECT_EQ(movement_digest(
+                  parallax::technique::compile("parallax", circuit, aod40)),
+              golden.aod40)
+        << golden.acronym << " aod 40";
+  }
 }
