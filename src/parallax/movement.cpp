@@ -1,6 +1,7 @@
 #include "parallax/movement.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <vector>
@@ -13,6 +14,12 @@ geom::Point rotate(geom::Point v, double radians) {
   const double c = std::cos(radians);
   const double s = std::sin(radians);
   return {v.x * c - v.y * s, v.x * s + v.y * c};
+}
+
+/// Bit equality, stricter than ==: -0.0 and 0.0 are different inputs to the
+/// search, so they must not share a replay.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 }  // namespace
@@ -69,6 +76,16 @@ void MovementEngine::restore(const Snapshot& snapshot) {
   }
   max_distance_ = snapshot.max_distance;
   displaced_ = snapshot.displaced;
+}
+
+bool MovementEngine::same_configuration(const Snapshot& a,
+                                        const Snapshot& b) {
+  const auto same_point = [](geom::Point p, geom::Point q) {
+    return same_bits(p.x, q.x) && same_bits(p.y, q.y);
+  };
+  return std::ranges::equal(a.positions, b.positions, same_point) &&
+         std::ranges::equal(a.rows, b.rows, same_bits) &&
+         std::ranges::equal(a.cols, b.cols, same_bits);
 }
 
 void MovementEngine::note_move(std::int32_t q, geom::Point from,
@@ -207,15 +224,34 @@ bool MovementEngine::place_atom(std::int32_t q, geom::Point target,
 
 MoveOutcome MovementEngine::move_into_range(std::int32_t mover,
                                             std::int32_t partner) {
-  auto& machine = *machine_;
-  MoveOutcome outcome;
   iterations_used_ = 0;
   max_distance_ = 0.0;
   displaced_ = 0;
   for (const std::int32_t q : aod_qubits_) {
     travel_[static_cast<std::size_t>(q)] = 0.0;
   }
+  save(initial_);
 
+  if (!same_configuration(initial_, base_)) {
+    replays_.clear();
+    base_ = initial_;
+  }
+  const std::uint64_t key =
+      (std::uint64_t{static_cast<std::uint32_t>(mover)} << 32) |
+      static_cast<std::uint32_t>(partner);
+  if (const auto it = replays_.find(key); it != replays_.end()) {
+    if (it->second.outcome.success) restore(it->second.after);
+    return it->second.outcome;
+  }
+
+  Replay replay{search(mover, partner), {}};
+  if (replay.outcome.success) save(replay.after);
+  return replays_.emplace(key, std::move(replay)).first->second.outcome;
+}
+
+MoveOutcome MovementEngine::search(std::int32_t mover, std::int32_t partner) {
+  auto& machine = *machine_;
+  MoveOutcome outcome;
   const double r = machine.interaction_radius();
   const double min_sep = machine.config().min_separation_um;
   const double approach =
@@ -228,8 +264,6 @@ MoveOutcome MovementEngine::move_into_range(std::int32_t mover,
                                 60.0 * kDeg, -60.0 * kDeg, 90.0 * kDeg,
                                 -90.0 * kDeg, 135.0 * kDeg, -135.0 * kDeg,
                                 180.0 * kDeg};
-
-  save(initial_);
 
   // The recursive displacement of a successful placement may carry the
   // *partner* along (its AOD line can be an order-blocker of the mover's).

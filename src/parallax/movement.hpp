@@ -9,9 +9,19 @@
 //     different approach point around the partner.
 // Recursion is capped at 80 iterations (the paper's hard limit); failure is
 // reported so the scheduler can fall back to a 100 us trap change.
+//
+// Repeated searches are replayed, not re-run. A search reads only (mover,
+// partner), the AOD configuration (AOD atom positions and line coordinates)
+// and data fixed for the engine's life, and a failed search restores that
+// configuration bit for bit. So while the configuration stays bit-identical
+// (a home-returning scheduler puts the same home configuration back before
+// every layer), each (mover, partner) pair is searched once: a replayed
+// failure leaves the machine untouched and a replayed success restores the
+// recorded post-move configuration. Any other configuration drops the memo.
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "geometry/uniform_grid.hpp"
@@ -38,10 +48,15 @@ class MovementEngine {
 
   /// Moves AOD atom `mover` within the interaction radius of `partner`.
   /// On failure the machine state is restored to the pre-call configuration.
+  /// A pair already searched from the same configuration replays the
+  /// recorded outcome and end state.
   [[nodiscard]] MoveOutcome move_into_range(std::int32_t mover,
                                             std::int32_t partner);
 
  private:
+  /// The recursive search itself, from the configuration saved in initial_.
+  MoveOutcome search(std::int32_t mover, std::int32_t partner);
+
   /// Places `q` at `target`, recursively displacing obstructing AOD atoms
   /// and lines. Returns false when the budget runs out or a static atom
   /// blocks the exact spot.
@@ -77,6 +92,16 @@ class MovementEngine {
   };
   void save(Snapshot& snapshot) const;
   void restore(const Snapshot& snapshot);
+  /// Bit-identical AOD atom positions and line coordinates (travel and the
+  /// counters are per-call scratch and not compared).
+  static bool same_configuration(const Snapshot& a, const Snapshot& b);
+
+  /// A recorded search from base_: its outcome and, for a success, the
+  /// configuration it left behind (empty for a failure).
+  struct Replay {
+    MoveOutcome outcome;
+    Snapshot after;
+  };
 
   hardware::Machine* machine_;
   int max_iterations_;
@@ -88,6 +113,10 @@ class MovementEngine {
   std::vector<double> travel_;
   Snapshot initial_;
   Snapshot attempt_;
+  /// The configuration the replays were recorded from.
+  Snapshot base_;
+  /// Keyed by (mover << 32 | partner).
+  std::unordered_map<std::uint64_t, Replay> replays_;
   int iterations_used_ = 0;
   double max_distance_ = 0.0;
   int displaced_ = 0;

@@ -3,6 +3,8 @@
 // execution, dependency preservation, blockade exclusivity, AOD ordering).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <set>
 
@@ -259,6 +261,104 @@ TEST(Movement, DisplacesObstructingAodAtom) {
   EXPECT_TRUE(machine.within_interaction(0, 5));
   EXPECT_FALSE(machine.separation_violation().has_value());
   EXPECT_TRUE(machine.aod().ordering_valid());
+}
+
+namespace {
+/// A 4x4 layout with the diagonal atoms 0, 5, 10 and 15 in AOD lines 0-3
+/// (already ordered in x and y), free lines parked, home saved.
+ph::Machine diagonal_machine() {
+  MovementFixture fixture(16);
+  ph::Machine machine = *fixture.machine;
+  for (const std::int32_t line : {0, 1, 2, 3}) {
+    machine.assign_to_aod(line * 5, line, line);
+  }
+  park_free_lines(machine);
+  machine.save_home();
+  return machine;
+}
+
+/// The raw bits of every atom position and AOD line coordinate: equal only
+/// when the configurations are bit-identical.
+std::vector<std::uint64_t> configuration_bits(const ph::Machine& machine) {
+  std::vector<std::uint64_t> bits;
+  for (std::int32_t q = 0; q < machine.n_qubits(); ++q) {
+    bits.push_back(std::bit_cast<std::uint64_t>(machine.position(q).x));
+    bits.push_back(std::bit_cast<std::uint64_t>(machine.position(q).y));
+  }
+  const auto& aod = machine.aod();
+  for (std::int32_t r = 0; r < aod.n_rows(); ++r) {
+    bits.push_back(std::bit_cast<std::uint64_t>(aod.row_coord(r)));
+  }
+  for (std::int32_t c = 0; c < aod.n_cols(); ++c) {
+    bits.push_back(std::bit_cast<std::uint64_t>(aod.col_coord(c)));
+  }
+  return bits;
+}
+
+void expect_same_outcome(const px::MoveOutcome& a, const px::MoveOutcome& b) {
+  EXPECT_EQ(a.success, b.success);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.max_distance_um),
+            std::bit_cast<std::uint64_t>(b.max_distance_um));
+  EXPECT_EQ(a.displaced_atoms, b.displaced_atoms);
+  EXPECT_EQ(a.iterations, b.iterations);
+}
+}  // namespace
+
+TEST(Movement, ReplayedSuccessMatchesFreshEngine) {
+  ph::Machine machine = diagonal_machine();
+  ph::Machine copy = machine;
+  px::MovementEngine engine(machine);
+  const auto first = engine.move_into_range(0, 3);
+  ASSERT_TRUE(first.success);
+  ASSERT_GT(first.displaced_atoms, 0);
+  const auto moved = configuration_bits(machine);
+
+  // Home return puts the searched-from configuration back: the same pair
+  // replays the recorded outcome and end state.
+  machine.return_all_home();
+  ASSERT_EQ(configuration_bits(machine), configuration_bits(copy));
+  const auto replayed = engine.move_into_range(0, 3);
+  expect_same_outcome(replayed, first);
+  EXPECT_EQ(configuration_bits(machine), moved);
+
+  px::MovementEngine fresh(copy);
+  expect_same_outcome(fresh.move_into_range(0, 3), first);
+  EXPECT_EQ(configuration_bits(copy), moved);
+}
+
+TEST(Movement, ReplayedFailureLeavesConfigurationUntouched) {
+  ph::Machine machine = diagonal_machine();
+  const auto before = configuration_bits(machine);
+  // A six-iteration budget runs out before this search can succeed.
+  px::MovementEngine engine(machine, /*max_iterations=*/6);
+  const auto first = engine.move_into_range(0, 3);
+  ASSERT_FALSE(first.success);
+  ASSERT_GT(first.iterations, 0);
+  EXPECT_EQ(configuration_bits(machine), before);
+
+  const auto replayed = engine.move_into_range(0, 3);
+  expect_same_outcome(replayed, first);
+  EXPECT_EQ(configuration_bits(machine), before);
+
+  ph::Machine copy = diagonal_machine();
+  px::MovementEngine fresh(copy, /*max_iterations=*/6);
+  expect_same_outcome(fresh.move_into_range(0, 3), first);
+}
+
+TEST(Movement, ChangedConfigurationSearchesAgain) {
+  ph::Machine machine = diagonal_machine();
+  px::MovementEngine engine(machine, /*max_iterations=*/6);
+  ASSERT_FALSE(engine.move_into_range(0, 3).success);
+  // A successful move with no home return changes the configuration; from
+  // there the pair that failed fits the budget.
+  ASSERT_TRUE(engine.move_into_range(5, 15).success);
+  ph::Machine copy = machine;
+  const auto again = engine.move_into_range(0, 3);
+  EXPECT_TRUE(again.success);
+
+  px::MovementEngine fresh(copy, /*max_iterations=*/6);
+  expect_same_outcome(fresh.move_into_range(0, 3), again);
+  EXPECT_EQ(configuration_bits(copy), configuration_bits(machine));
 }
 
 // --- scheduler -------------------------------------------------------------------
