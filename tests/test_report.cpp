@@ -4,8 +4,9 @@
 // (the differential guarantee `parallax bench --serve` rests on). Around
 // it: registry integrity (eleven unique names, unknown names rejected,
 // duplicate registration rejected), spec serializability round trips,
-// renderer formats, strict EnvConfig parsing, and warm-session accounting
-// through the Runner layer.
+// renderer formats, strict EnvConfig parsing, warm-session accounting
+// through the Runner layer, and the perf snapshot's baseline gate (driven by
+// hand-written baselines far from any real ratio, so timing cannot flake it).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -24,6 +25,7 @@
 #include "report/artifact.hpp"
 #include "report/env.hpp"
 #include "report/orchestrator.hpp"
+#include "report/perf.hpp"
 #include "report/render.hpp"
 #include "report/runner.hpp"
 #include "serve/client.hpp"
@@ -490,4 +492,129 @@ TEST(Orchestrator, RendersEachArtifactAndReportsOutcomes) {
                    std::istreambuf_iterator<char>());
   EXPECT_NE(text.find("=== Table II ==="), std::string::npos);
   EXPECT_NE(text.find("=== Table III ==="), std::string::npos);
+}
+
+// --- perf snapshot gate -------------------------------------------------------
+
+namespace {
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+struct PerfRun {
+  int exit_code = -1;
+  std::string log;
+  std::string snapshot;  // empty when none was written
+};
+
+/// Runs the perf suite against `baseline_path`, capturing its log and the
+/// snapshot it writes.
+PerfRun run_perf(const std::string& baseline_path) {
+  const std::string dir = fresh_dir("perf");
+  fs::create_directories(dir);
+  const std::string snapshot_path = dir + "/snapshot.json";
+  rp::PerfOptions options;
+  options.seed = 42;
+  options.threads = 1;
+  options.baseline_path = baseline_path;
+  const std::string log_path = dir + "/perf.log";
+  std::FILE* log = std::fopen(log_path.c_str(), "w");
+  PerfRun run;
+  if (log == nullptr) return run;
+  run.exit_code = rp::run_perf_snapshot(snapshot_path, options, log);
+  std::fclose(log);
+  run.log = read_file(log_path);
+  if (fs::exists(snapshot_path)) run.snapshot = read_file(snapshot_path);
+  return run;
+}
+
+/// A hand-written v2 baseline whose gate ratio is `ratio`.
+std::string baseline_with_ratio(const std::string& ratio) {
+  const std::string path = fresh_dir("baseline") + ".json";
+  fs::create_directories(fs::path(path).parent_path());
+  std::ofstream(path) << "{\n  \"schema\": \"parallax-perf-snapshot-v2\",\n"
+                         "  \"gate_delta_over_legacy\": "
+                      << ratio << "\n}\n";
+  return path;
+}
+
+}  // namespace
+
+TEST(PerfGate, RatioAboveTheBaselineFailsNamingTheAnnealNode) {
+  const PerfRun run = run_perf(baseline_with_ratio("1e-6"));
+  EXPECT_EQ(run.exit_code, 1);
+  EXPECT_NE(run.log.find("REGRESSION"), std::string::npos) << run.log;
+  EXPECT_NE(run.log.find("anneal.delta_single_chain"), std::string::npos);
+  EXPECT_NE(run.log.find("anneal.legacy"), std::string::npos);
+}
+
+TEST(PerfGate, RatioWithinTheBaselinePassesAndWritesAV2Snapshot) {
+  const PerfRun run = run_perf(baseline_with_ratio("1e6"));
+  EXPECT_EQ(run.exit_code, 0) << run.log;
+  EXPECT_NE(run.log.find("gate ok"), std::string::npos) << run.log;
+  EXPECT_NE(run.snapshot.find("\"schema\": \"parallax-perf-snapshot-v2\""),
+            std::string::npos);
+  const auto ratio =
+      rp::scan_json_number(run.snapshot, "gate_delta_over_legacy");
+  ASSERT_TRUE(ratio.has_value());
+  EXPECT_GT(*ratio, 0.0);
+  for (const char* key : {"anneal", "qasm_parse", "parse_request_line", "sim",
+                          "simd_lane"}) {
+    EXPECT_NE(run.snapshot.find("\"" + std::string(key) + "\""),
+              std::string::npos)
+        << key;
+  }
+  for (const char* gone : {"windowed_placement", "sweep", "serve",
+                           "serve_farm", "gate_anneal_wall_seconds"}) {
+    EXPECT_EQ(run.snapshot.find("\"" + std::string(gone) + "\""),
+              std::string::npos)
+        << gone;
+  }
+}
+
+TEST(PerfGate, BaselineWithoutTheRatioFailsNamingTheKey) {
+  const std::string no_key = fresh_dir("baseline") + ".json";
+  fs::create_directories(fs::path(no_key).parent_path());
+  std::ofstream(no_key) << "{\"schema\": \"parallax-perf-snapshot-v2\", "
+                           "\"anneal\": {\"gate_delta_over_legacy_x\": 1}}\n";
+  // The v1 snapshot is the committed trajectory point before the ratio
+  // gate; it must not silently gate on its absolute wall time.
+  const fs::path v1 =
+      fs::path(__FILE__).parent_path().parent_path() / "BENCH_PR10.json";
+  ASSERT_TRUE(fs::exists(v1)) << v1;
+  for (const std::string& baseline : {no_key, v1.string()}) {
+    const PerfRun run = run_perf(baseline);
+    EXPECT_EQ(run.exit_code, 1) << baseline;
+    EXPECT_NE(run.log.find("gate_delta_over_legacy"), std::string::npos)
+        << run.log;
+    EXPECT_TRUE(run.snapshot.empty()) << baseline;
+  }
+}
+
+TEST(PerfGate, UnreadableBaselineFails) {
+  const PerfRun run = run_perf(fresh_dir("missing") + ".json");
+  EXPECT_EQ(run.exit_code, 1);
+  EXPECT_NE(run.log.find("FAILED to read baseline"), std::string::npos);
+}
+
+TEST(ScanJsonNumber, ReadsTheFirstOccurrenceOfAKey) {
+  EXPECT_EQ(rp::scan_json_number(R"({"a": 1.5, "b": -2e-3})", "b"), -2e-3);
+  // A nested duplicate after the top-level key does not shadow it.
+  EXPECT_EQ(rp::scan_json_number(
+                R"({"ratio": 0.35, "anneal": {"ratio": 9.0}})", "ratio"),
+            0.35);
+}
+
+TEST(ScanJsonNumber, MissingKeysAndNonNumbersAreEmpty) {
+  EXPECT_FALSE(rp::scan_json_number(R"({"a": 1})", "b").has_value());
+  // A key that only prefixes another is not that key.
+  EXPECT_FALSE(rp::scan_json_number(R"({"ratio_x": 1})", "ratio").has_value());
+  EXPECT_FALSE(rp::scan_json_number(R"({"a": "1"})", "a").has_value());
+  EXPECT_FALSE(rp::scan_json_number(R"({"a": null})", "a").has_value());
+  EXPECT_FALSE(rp::scan_json_number(R"({"a": {"b": 1}})", "a").has_value());
+  EXPECT_FALSE(rp::scan_json_number(R"({"a": nan})", "a").has_value());
+  EXPECT_FALSE(rp::scan_json_number(R"({"a": inf})", "a").has_value());
+  EXPECT_FALSE(rp::scan_json_number(R"({"a":)", "a").has_value());
 }

@@ -47,11 +47,12 @@
 //         [--cache-dir DIR] [--no-cache] [--max-disk-bytes N]
 //         [--shards N]                (--serve off only) run every sweep as
 //                                     an n-shard partition-and-merge
-//   bench --perf-json FILE            run the perf suite (anneal A/B, sweep
-//         [--perf-baseline FILE]      cold/warm, serve STATS) and write a
-//         [--seed N] [--threads N]    machine-readable snapshot; with a
-//                                     baseline, exit 1 when the gated anneal
-//                                     wall regresses >25% (the committed
+//   bench --perf-json FILE            run the perf suite (anneal A/B, QASM
+//         [--perf-baseline FILE]      parse, request-line parse, simulator)
+//         [--seed N] [--threads N]    and write a machine-readable snapshot;
+//                                     with a baseline, exit 1 when the delta
+//                                     anneal's wall over the legacy anneal's
+//                                     regresses >25% (the committed
 //                                     BENCH_PR<N>.json perf trajectory)
 //
 // Cache subcommands (the paper's "load earlier results" option, automatic):
@@ -270,6 +271,8 @@ struct CliOptions {
                "               [--max-disk-bytes N] [--shards N]\n"
                "       %s bench --perf-json FILE [--perf-baseline FILE] "
                "[--seed N] [--threads N]\n"
+               "               (the baseline is a v2 snapshot such as "
+               "BENCH_PR18.json)\n"
                "       %s sim (--benchmark NAME | --circuit FILE.qasm) "
                "[--technique NAME|all]\n"
                "               [--machine M] [--shots N] [--seed N] "
@@ -517,9 +520,9 @@ CliOptions parse_cli(int argc, char** argv) {
             "artifact names (see bench --list)");
     }
     if (!options.perf_json.empty()) {
-      // The perf suite manages its own scratch cache and runs in-process;
-      // silently ignoring session/artifact flags would misreport (e.g.
-      // --no-cache numbers measured through a cache).
+      // The perf suite runs fixed in-process micro workloads and opens no
+      // cache; silently ignoring session/artifact flags would suggest they
+      // shaped the numbers.
       for (const char* unsupported :
            {"--serve", "--format", "--benchmarks", "--full-scale",
             "--cache-dir", "--no-cache", "--max-disk-bytes", "--shards"}) {
@@ -527,7 +530,8 @@ CliOptions parse_cli(int argc, char** argv) {
             seen_flags.end()) {
           usage(argv[0], (std::string(unsupported) +
                           " does not apply to bench --perf-json (the perf "
-                          "suite uses a scratch cache and a fixed matrix)")
+                          "suite runs fixed in-process micro workloads and "
+                          "opens no cache)")
                              .c_str());
         }
       }
